@@ -75,8 +75,9 @@ class RunConfig:
             raise ConfigError(f"domain must be weight|phase, got {self.domain!r}")
         if self.loss_mode not in ("sg", "se"):
             raise ConfigError(f"loss.mode must be sg|se, got {self.loss_mode!r}")
-        if self.domain == "phase" and not self.model_tensorized and self.problem_name == "hjb":
-            pass  # dense phase models are allowed; nothing to check here
+        if self.domain == "phase" and self.model_dtype != "float64":
+            # phase realization and the noise pipeline run in float64 only
+            raise ConfigError(f"model.dtype must be float64 in the phase domain, got {self.model_dtype!r}")
         if self.opt_algorithm not in ("adam", "sgd"):
             raise ConfigError(f"opt.algorithm must be adam|sgd, got {self.opt_algorithm!r}")
 

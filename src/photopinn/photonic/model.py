@@ -3,9 +3,15 @@
 Dense layers become ceil(M/k) x ceil(N/k) grids of k x k SVD blocks (k = 8);
 tensor-train layers realize each core unfolding (r_k-1 * m_k) x (n_k * r_k)
 as one rectangular SVD block, reshaped back into the 4-way core for the usual
-TT contraction.  Biases stay digital.  The trainable store is the flat vector
-(all phases, layer by layer, then that layer's bias), matching the weight
-models' segment interface so the same optimizer drives both domains.
+TT contraction.  Biases stay digital.
+
+The model's flat vector theta (per layer: all phases, then that layer's bias)
+is the only store of phases and biases; it matches the weight models' segment
+interface so the same optimizer drives both domains.  Layers hold only static
+per-block data (block shapes and singular-value scales).  A forward maps the
+programmed phases to effective ones once, hands each layer its contiguous
+slice, and the layer realizes all of its blocks in one batched pass (meshes
+are applied stage by stage, see `mesh.mesh_matrices`).
 
 Crosstalk adjacency: rotators that are neighbors within the same stage of the
 same mesh couple with the model's coefficient; attenuator phases and
@@ -18,95 +24,69 @@ import numpy as np
 
 from ..nets import _ACTIVATIONS
 from ..tensortrain import TTCores, TTLayout, tt_forward
-from .mesh import MziMesh
-from .noise import FrozenNoise, NoiseModel, apply_nonidealities
-from .svd import SvdBlock, block_assemble
+from .mesh import stage_neighbors
+from .noise import NoiseModel, apply_nonidealities
+from .svd import block_phase_count, svd_matrices
 
-__all__ = ["PhotonicDense", "PhotonicTT", "PhotonicMlp", "DENSE_BLOCK_SIZE"]
+__all__ = ["PhotonicDense", "PhotonicTT", "PhotonicMlp", "DENSE_BLOCK_SIZE", "random_phases"]
 
 DENSE_BLOCK_SIZE = 8
 
-
-def _mesh_pairs(mesh: MziMesh, offset: int) -> list[tuple[int, int]]:
-    """Index pairs of stage-adjacent rotators, shifted by the mesh's offset."""
-    by_stage: dict[int, list[int]] = {}
-    for k, (i, _, stage) in enumerate(mesh.placements):
-        by_stage.setdefault(stage, []).append(k)
-    pairs = []
-    for ks in by_stage.values():
-        for a, b in zip(ks[:-1], ks[1:]):
-            pairs.append((offset + a, offset + b))
-    return pairs
-
-
-def _block_pairs(block: SvdBlock, offset: int) -> list[tuple[int, int]]:
-    pairs = _mesh_pairs(block.u_mesh, offset)
-    v_off = offset + block.u_mesh.n_rotators + len(block.sigma_phases)
-    pairs += _mesh_pairs(block.v_mesh, v_off)
-    return pairs
-
-
-def _block_get(block: SvdBlock) -> np.ndarray:
-    return np.concatenate([block.u_mesh.phases, block.sigma_phases, block.v_mesh.phases])
-
-
-def _block_set(block: SvdBlock, phases: np.ndarray) -> None:
-    nu = block.u_mesh.n_rotators
-    ns = len(block.sigma_phases)
-    block.u_mesh.phases = phases[:nu]
-    block.sigma_phases = phases[nu : nu + ns]
-    block.v_mesh.phases = phases[nu + ns :]
+def _block_neighbors(m: int, n: int) -> np.ndarray:
+    """Stage-adjacent rotator pairs of one m x n block, as indices into its phases."""
+    v_offset = m * (m - 1) // 2 + min(m, n)
+    return np.concatenate([stage_neighbors(m), stage_neighbors(n) + v_offset])
 
 
 class PhotonicDense:
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, block: int = DENSE_BLOCK_SIZE):
+    """n_out x n_in weight as a row-major grid of k x k SVD blocks.
+
+    Its phases arrive as a (blocks, phases per block) array.
+    """
+
+    def __init__(self, n_in: int, n_out: int, block: int = DENSE_BLOCK_SIZE):
         self.n_in = n_in
         self.n_out = n_out
         self.block = block
-        scale = _sigma_scale(block, block, np.sqrt(2.0 / (n_in + n_out)))
+        self.scale = _sigma_scale(block, block, np.sqrt(2.0 / (n_in + n_out)))
         self.rows = -(-n_out // block)
         self.cols = -(-n_in // block)
-        self.blocks = [
-            [SvdBlock.random(block, block, scale, rng) for _ in range(self.cols)]
-            for _ in range(self.rows)
-        ]
-        self.bias = np.zeros(n_out)
+        self.block_shapes = [(block, block)] * (self.rows * self.cols)
+        self.phase_shape = (self.rows * self.cols, block_phase_count(block, block))
 
-    def flat_blocks(self):
-        return [b for row in self.blocks for b in row]
-
-    def realized_weight(self, phase_map) -> np.ndarray:
-        mats = [[blk.matrix(phase_map(blk)) for blk in row] for row in self.blocks]
+    def realized_weight(self, phases: np.ndarray) -> np.ndarray:
         k = self.block
-        out = np.zeros((self.rows * k, self.cols * k))
-        for p, row in enumerate(mats):
-            for q, m in enumerate(row):
-                out[p * k : (p + 1) * k, q * k : (q + 1) * k] = m
-        return out[: self.n_out, : self.n_in]
+        mats = svd_matrices(phases, k, k, self.scale)
+        grid = mats.reshape(self.rows, self.cols, k, k).transpose(0, 2, 1, 3)
+        return grid.reshape(self.rows * k, self.cols * k)[: self.n_out, : self.n_in]
 
 
 class PhotonicTT:
-    def __init__(self, layout: TTLayout, rng: np.random.Generator, target_std: float | None = None):
+    """TT layer with one rectangular SVD block per core; phases arrive as one vector."""
+
+    def __init__(self, layout: TTLayout, target_std: float | None = None):
         self.layout = layout
         if target_std is None:
             target_std = (2.0 / (layout.rows + layout.cols)) ** 0.5
         per_core = (target_std**2 / np.prod(layout.ranks)) ** (1.0 / (2 * layout.L))
-        self.blocks = []
+        self.block_shapes = []
+        self.scales = []
         for k in range(layout.L):
             r0, m, n, r1 = layout.core_shape(k)
-            self.blocks.append(SvdBlock.random(r0 * m, n * r1, _sigma_scale(r0 * m, n * r1, per_core), rng))
+            self.block_shapes.append((r0 * m, n * r1))
+            self.scales.append(_sigma_scale(r0 * m, n * r1, per_core))
         self.n_in = layout.cols
         self.n_out = layout.rows
-        self.bias = np.zeros(layout.rows)
+        self.phase_shape = (sum(block_phase_count(a, b) for a, b in self.block_shapes),)
 
-    def flat_blocks(self):
-        return self.blocks
-
-    def realized_cores(self, phase_map) -> TTCores:
+    def realized_cores(self, phases: np.ndarray) -> TTCores:
         cores = []
-        for k, blk in enumerate(self.blocks):
-            r0, m, n, r1 = self.layout.core_shape(k)
-            cores.append(blk.matrix(phase_map(blk)).reshape(r0, m, n, r1))
+        pos = 0
+        for k, ((a, b), scale) in enumerate(zip(self.block_shapes, self.scales)):
+            stop = pos + block_phase_count(a, b)
+            mat = svd_matrices(phases[None, pos:stop], a, b, scale)[0]
+            cores.append(mat.reshape(self.layout.core_shape(k)))
+            pos = stop
         return TTCores(self.layout, cores)
 
 
@@ -116,18 +96,32 @@ def _sigma_scale(a: int, b: int, entry_std: float) -> float:
     return float(entry_std * np.sqrt(2.0 * a * b / min(a, b)))
 
 
+def random_phases(layer, rng: np.random.Generator) -> np.ndarray:
+    """Initial phases of one layer, uniform on [0, 2*pi), in the layer's phase shape.
+
+    Blocks draw in order, each its U, Sigma and V phases in turn.
+    """
+    return rng.uniform(0.0, 2.0 * np.pi, size=layer.phase_shape)
+
+
 class PhotonicMlp:
-    """Phase-domain twin of TensorizedMlp; same call/segment interface."""
+    """Phase-domain twin of TensorizedMlp; same call/segment interface.
+
+    `phases` holds one initial phase array per layer; biases start at zero.
+    """
 
     def __init__(
         self,
         layers: list,
+        phases: list[np.ndarray],
         activation: str = "tanh",
         noise: NoiseModel | None = None,
         input_shift: np.ndarray | None = None,
         input_scale: np.ndarray | None = None,
         output_scale: float = 1.0,
     ):
+        if len(phases) != len(layers):
+            raise ValueError(f"need one phase array per layer, got {len(phases)} for {len(layers)}")
         self.layers = layers
         self.activation = activation
         self.noise = noise if noise is not None else NoiseModel.disabled()
@@ -136,88 +130,77 @@ class PhotonicMlp:
         self.input_scale = np.ones(dim) if input_scale is None else np.asarray(input_scale, float)
         self.output_scale = float(output_scale)
         self._index_layout()
+        for layer, ph in zip(layers, phases):
+            if np.shape(ph) != layer.phase_shape:
+                raise ValueError(f"expected phases of shape {layer.phase_shape}, got {np.shape(ph)}")
+        self._theta = np.zeros(self._dim)
+        self._theta[self._phase_index] = np.concatenate([np.ravel(ph) for ph in phases])
         self._frozen = self.noise.freeze(self.n_phases)
         self._pairs = self._crosstalk_pairs()
 
     # -- flat store: per layer, all phases then the bias --------------------
 
     def _index_layout(self) -> None:
-        self._spans = []  # (name, start, stop, kind, layer index)
+        self._segments = []  # (name, start, stop) in theta
+        self._phase_slices = []  # per layer: its slice of the phase vector
+        self._bias_slices = []  # per layer: its bias slice of theta
         pos = 0
+        n_phases = 0
         for li, layer in enumerate(self.layers):
-            n_ph = sum(b.n_phases() for b in layer.flat_blocks())
-            self._spans.append((f"layer{li}.phases", pos, pos + n_ph, "phases", li))
-            pos += n_ph
-            self._spans.append((f"layer{li}.bias", pos, pos + len(layer.bias), "bias", li))
-            pos += len(layer.bias)
+            n_ph = int(np.prod(layer.phase_shape))
+            self._segments.append((f"layer{li}.phases", pos, pos + n_ph))
+            self._segments.append((f"layer{li}.bias", pos + n_ph, pos + n_ph + layer.n_out))
+            self._phase_slices.append(slice(n_phases, n_phases + n_ph))
+            self._bias_slices.append(slice(pos + n_ph, pos + n_ph + layer.n_out))
+            pos += n_ph + layer.n_out
+            n_phases += n_ph
         self._dim = pos
-        self.n_phases = sum(stop - start for _, start, stop, kind, _ in self._spans if kind == "phases")
+        self.n_phases = n_phases
+        self._phase_index = np.concatenate(
+            [np.arange(start, stop) for _, start, stop in self._segments[0::2]]
+        )
 
     def segments(self):
-        return [(name, start, stop) for name, start, stop, _, _ in self._spans]
+        return list(self._segments)
 
     @property
     def n_params(self) -> int:
         return self._dim
 
     def get_flat(self) -> np.ndarray:
-        out = np.empty(self._dim)
-        for name, start, stop, kind, li in self._spans:
-            if kind == "bias":
-                out[start:stop] = self.layers[li].bias
-            else:
-                out[start:stop] = np.concatenate(
-                    [_block_get(b) for b in self.layers[li].flat_blocks()]
-                )
-        return out
+        return self._theta.copy()
 
     def set_flat(self, theta: np.ndarray) -> None:
-        for name, start, stop, kind, li in self._spans:
-            if kind == "bias":
-                self.layers[li].bias = theta[start:stop].copy()
-            else:
-                pos = start
-                for b in self.layers[li].flat_blocks():
-                    n = b.n_phases()
-                    _block_set(b, theta[pos : pos + n].copy())
-                    pos += n
+        self._theta[:] = theta
 
     def phase_vector(self) -> np.ndarray:
-        return np.concatenate([_block_get(b) for layer in self.layers for b in layer.flat_blocks()])
+        return self._theta[self._phase_index]
 
     def _crosstalk_pairs(self) -> np.ndarray:
-        pairs = []
+        pairs = [np.empty((0, 2), dtype=np.intp)]
         pos = 0
         for layer in self.layers:
-            for b in layer.flat_blocks():
-                pairs += _block_pairs(b, pos)
-                pos += b.n_phases()
-        return np.asarray(pairs, dtype=np.intp) if pairs else np.empty((0, 2), dtype=np.intp)
+            for m, n in layer.block_shapes:
+                pairs.append(_block_neighbors(m, n) + pos)
+                pos += block_phase_count(m, n)
+        return np.concatenate(pairs)
 
     def effective_phases(self) -> np.ndarray:
         return apply_nonidealities(self.phase_vector(), self.noise, self._pairs, self._frozen)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         eff = self.effective_phases()
-        # carve the effective vector back into per-block views
-        per_block: dict[int, np.ndarray] = {}
-        pos = 0
-        for layer in self.layers:
-            for b in layer.flat_blocks():
-                per_block[id(b)] = eff[pos : pos + b.n_phases()]
-                pos += b.n_phases()
-        phase_map = lambda blk: per_block[id(blk)]
-
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         h = (np.atleast_2d(x) - self.input_shift) * self.input_scale
         act = _ACTIVATIONS[self.activation]
         for k, layer in enumerate(self.layers):
+            phases = eff[self._phase_slices[k]].reshape(layer.phase_shape)
             if isinstance(layer, PhotonicTT):
-                h = tt_forward(layer.realized_cores(phase_map), h)
+                h = tt_forward(layer.realized_cores(phases), h)
             else:
-                h = h @ layer.realized_weight(phase_map).T
-            h = h + layer.bias
+                h = h @ layer.realized_weight(phases).T
+            h = h + self._theta[self._bias_slices[k]]
             if k < len(self.layers) - 1:
                 act(h, out=h)
         if self.output_scale != 1.0:
@@ -225,23 +208,3 @@ class PhotonicMlp:
         if h.shape[1] == 1:
             h = h[:, 0]
         return h[0] if single else h
-
-    def realized_weights(self) -> list[np.ndarray]:
-        """Dense effective matrices per layer (noise applied); test oracle hook."""
-        eff = self.effective_phases()
-        per_block = {}
-        pos = 0
-        for layer in self.layers:
-            for b in layer.flat_blocks():
-                per_block[id(b)] = eff[pos : pos + b.n_phases()]
-                pos += b.n_phases()
-        phase_map = lambda blk: per_block[id(blk)]
-        out = []
-        for layer in self.layers:
-            if isinstance(layer, PhotonicTT):
-                from ..tensortrain import tt_reconstruct
-
-                out.append(tt_reconstruct(layer.realized_cores(phase_map)))
-            else:
-                out.append(layer.realized_weight(phase_map))
-        return out

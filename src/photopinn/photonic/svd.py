@@ -4,7 +4,8 @@ U and V are square rotator meshes (sizes m and n for an m x n block);
 Sigma is a bank of min(m, n) attenuator phases realizing singular values
 s * cos(phi) within [-s, s], where s is a fixed per-block scale chosen at
 construction.  Rectangular blocks truncate or zero-pad between the two mesh
-sizes.
+sizes.  A block's phase vector is the concatenation (U phases, Sigma phases,
+V phases).
 """
 
 from __future__ import annotations
@@ -13,9 +14,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MziMesh
+from .mesh import MziMesh, mesh_matrices
 
-__all__ = ["SvdBlock", "svd_forward", "block_partitioned_layer", "block_assemble"]
+__all__ = ["SvdBlock", "svd_matrices", "block_phase_count"]
+
+
+def block_phase_count(m: int, n: int) -> int:
+    """Phases of one m x n block: both meshes plus min(m, n) attenuators."""
+    return m * (m - 1) // 2 + min(m, n) + n * (n - 1) // 2
+
+
+def svd_matrices(
+    phases: np.ndarray, m: int, n: int, scale, u_diagonal=None, v_diagonal=None
+) -> np.ndarray:
+    """(B, block_phase_count(m, n)) block phases -> (B, m, n) realized blocks.
+
+    `scale` is the singular-value scale s, one per block or shared; the mesh
+    diagonals are those of `mesh_matrices` (None is +1).
+    """
+    nu = m * (m - 1) // 2
+    k = min(m, n)
+    u = mesh_matrices(phases[:, :nu], u_diagonal)
+    v = mesh_matrices(phases[:, nu + k :], v_diagonal)
+    d = np.asarray(scale, dtype=float)[..., None] * np.cos(phases[:, nu : nu + k])
+    # U @ Sigma with Sigma's zero padding kept, so the product sums the same terms
+    us = u[:, :, :k] * d[:, None, :]
+    if k < n:
+        us = np.concatenate([us, np.zeros((len(u), m, n - k))], axis=2)
+    return us @ v
 
 
 @dataclass
@@ -45,59 +71,17 @@ class SvdBlock:
         )
 
     def n_phases(self) -> int:
-        return self.u_mesh.n_rotators + len(self.sigma_phases) + self.v_mesh.n_rotators
+        return block_phase_count(*self.shape)
 
     def matrix(self, phases: np.ndarray | None = None) -> np.ndarray:
         """Realized m x n matrix; `phases` optionally overrides the stored ones
         as the concatenation (U phases, sigma phases, V phases)."""
         if phases is None:
-            pu, ps, pv = None, self.sigma_phases, None
-        else:
-            nu = self.u_mesh.n_rotators
-            ns = len(self.sigma_phases)
-            pu = phases[:nu]
-            ps = phases[nu : nu + ns]
-            pv = phases[nu + ns :]
+            phases = np.concatenate([self.u_mesh.phases, self.sigma_phases, self.v_mesh.phases])
+        phases = np.asarray(phases, dtype=float)
+        if phases.shape != (self.n_phases(),):
+            raise ValueError(f"expected {self.n_phases()} phases, got {phases.shape}")
         m, n = self.shape
-        u = self.u_mesh.matrix(pu)
-        v = self.v_mesh.matrix(pv)
-        sig = np.zeros((m, n))
-        k = min(m, n)
-        sig[np.arange(k), np.arange(k)] = self.scale * np.cos(ps)
-        return u @ sig @ v
-
-
-def svd_forward(block: SvdBlock, x: np.ndarray) -> np.ndarray:
-    """Apply the block to x (length n, or batch (B, n)) -> length m."""
-    m, n = block.shape
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    if xb.shape[1] != n:
-        raise ValueError(f"input length {xb.shape[1]} != block cols {n}")
-    t = xb @ block.v_mesh.matrix().T
-    k = min(m, n)
-    mid = np.zeros((xb.shape[0], m))
-    mid[:, :k] = t[:, :k] * (block.scale * np.cos(block.sigma_phases))
-    out = mid @ block.u_mesh.matrix().T
-    return out[0] if single else out
-
-
-def block_partitioned_layer(M: int, N: int, k: int, scale: float, rng: np.random.Generator):
-    """ceil(M/k) x ceil(N/k) grid of k x k SVD blocks covering an M x N matrix."""
-    if k < 2:
-        raise ValueError("block size must be >= 2")
-    P = -(-M // k)
-    Q = -(-N // k)
-    return [[SvdBlock.random(k, k, scale, rng) for _ in range(Q)] for _ in range(P)]
-
-
-def block_assemble(blocks, M: int, N: int) -> np.ndarray:
-    """Dense M x N matrix from the block grid (zero padding trimmed)."""
-    P, Q = len(blocks), len(blocks[0])
-    k = blocks[0][0].shape[0]
-    out = np.zeros((P * k, Q * k))
-    for p in range(P):
-        for q in range(Q):
-            out[p * k : (p + 1) * k, q * k : (q + 1) * k] = blocks[p][q].matrix()
-    return out[:M, :N]
+        return svd_matrices(
+            phases[None], m, n, self.scale, self.u_mesh.diagonal, self.v_mesh.diagonal
+        )[0]

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, serialize_config
+from .config import ConfigError, RunConfig, serialize_config
 from .models import build_model, hjb_folds
 from .nets import TensorizedMlp, save_checkpoint
 from .pde import OracleNotBuilt, get_problem, pinn_loss, reference_solution, relative_l2
 from .pde.problems import LossWeights, PinnProblem, SamplingBudget
-from .photonic.model import PhotonicDense, PhotonicMlp, PhotonicTT
+from .photonic.model import PhotonicDense, PhotonicMlp, PhotonicTT, random_phases
 from .photonic.noise import NoiseModel
 from .quadrature import SteinConfig
 from .tensortrain import TTLayout
@@ -127,54 +127,70 @@ def _build_phase_model(cfg: RunConfig, seed: int) -> PhotonicMlp:
         phase_bias=cfg.noise_phase_bias,
         seed=cfg.noise_seed,
     )
-    rng = np.random.default_rng(seed)
     rank = cfg.model_rank
     name = cfg.problem_name
+    conditioning = {}
+    # `draw_order` lists layers in the order their initial phases are drawn;
+    # it is fixed so every seed keeps the same initial theta.
     if name == "black-scholes":
-        w = cfg.model_width or 128
-        hidden = (
-            PhotonicTT(TTLayout((4, 4, 8), (8, 4, 4), (1, rank, rank, 1)), rng)
-            if cfg.model_tensorized
-            else PhotonicDense(w, w, rng)
-        )
         from .pde import black_scholes as bs
 
-        return PhotonicMlp(
-            [PhotonicDense(2, w, rng), hidden, PhotonicDense(w, 1, rng)],
-            activation="tanh",
-            noise=noise,
+        w = cfg.model_width or 128
+        hidden = (
+            PhotonicTT(TTLayout((4, 4, 8), (8, 4, 4), (1, rank, rank, 1)))
+            if cfg.model_tensorized
+            else PhotonicDense(w, w)
+        )
+        layers = [PhotonicDense(2, w), hidden, PhotonicDense(w, 1)]
+        draw_order = [1, 0, 2]
+        activation = "tanh"
+        conditioning = dict(
             input_shift=np.array([bs.X_MAX / 2.0, bs.HORIZON / 2.0]),
             input_scale=np.array([2.0 / bs.X_MAX, 2.0 / bs.HORIZON]),
             output_scale=bs.STRIKE,
         )
-    if name == "hjb":
+    elif name == "hjb":
         w = cfg.model_width or 512
         if cfg.model_tensorized:
-            (in_f, in_o), (h_f, h_o) = hjb_folds(w)
+            try:
+                (in_f, in_o), (h_f, h_o) = hjb_folds(w)
+            except KeyError as exc:
+                raise ConfigError(f"hjb: no tensor-train fold for model.width={w}") from exc
             layers = [
-                PhotonicTT(TTLayout(in_f, in_o, (1,) + (rank,) * (len(in_f) - 1) + (1,)), rng),
-                PhotonicTT(TTLayout(h_f, h_o, (1,) + (rank,) * (len(h_f) - 1) + (1,)), rng),
-                PhotonicDense(w, 1, rng),
+                PhotonicTT(TTLayout(in_f, in_o, (1,) + (rank,) * (len(in_f) - 1) + (1,))),
+                PhotonicTT(TTLayout(h_f, h_o, (1,) + (rank,) * (len(h_f) - 1) + (1,))),
+                PhotonicDense(w, 1),
             ]
         else:
-            layers = [PhotonicDense(21, w, rng), PhotonicDense(w, w, rng), PhotonicDense(w, 1, rng)]
-        return PhotonicMlp(layers, activation="sine", noise=noise)
-    if name in ("burgers", "darcy"):
+            layers = [PhotonicDense(21, w), PhotonicDense(w, w), PhotonicDense(w, 1)]
+        draw_order = [0, 1, 2]
+        activation = "sine"
+    elif name in ("burgers", "darcy"):
         w = cfg.model_width or 100
         if cfg.model_tensorized:
-            hiddens = [PhotonicTT(TTLayout((4, 5, 5), (5, 5, 4), (1, rank, rank, 1)), rng) for _ in range(3)]
+            hiddens = [PhotonicTT(TTLayout((4, 5, 5), (5, 5, 4), (1, rank, rank, 1))) for _ in range(3)]
         else:
-            hiddens = [PhotonicDense(w, w, rng) for _ in range(3)]
-        shift = np.array([0.0, 0.5]) if name == "burgers" else np.array([0.5, 0.5])
-        scale = np.array([1.0, 2.0]) if name == "burgers" else np.array([2.0, 2.0])
-        return PhotonicMlp(
-            [PhotonicDense(2, w, rng), *hiddens, PhotonicDense(w, 1, rng)],
-            activation="tanh",
-            noise=noise,
-            input_shift=shift,
-            input_scale=scale,
+            hiddens = [PhotonicDense(w, w) for _ in range(3)]
+        layers = [PhotonicDense(2, w), *hiddens, PhotonicDense(w, 1)]
+        draw_order = [1, 2, 3, 0, 4]
+        activation = "tanh"
+        conditioning = dict(
+            input_shift=np.array([0.0, 0.5]) if name == "burgers" else np.array([0.5, 0.5]),
+            input_scale=np.array([1.0, 2.0]) if name == "burgers" else np.array([2.0, 2.0]),
         )
-    raise KeyError(name)
+    else:
+        raise KeyError(name)
+    for k in range(len(layers) - 1):
+        if layers[k].n_out != layers[k + 1].n_in:
+            raise ConfigError(
+                f"{name}: model.width={w} does not fit the tensor-train fold "
+                f"(layer {k} has {layers[k].n_out} outputs, layer {k + 1} takes {layers[k + 1].n_in})"
+            )
+    rng = np.random.default_rng(seed)
+    phases = [None] * len(layers)
+    for k in draw_order:
+        phases[k] = random_phases(layers[k], rng)
+    return PhotonicMlp(layers, phases, activation=activation, noise=noise, **conditioning)
 
 
 def evaluate_model(model, problem: PinnProblem, max_points: int | None = None):

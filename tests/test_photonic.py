@@ -1,0 +1,237 @@
+"""Phase-domain realization against independent oracles.
+
+The per-rotator loop below is the reference the stage-batched mesh kernel
+must reproduce bit for bit; blocks, layers and whole models are checked
+against explicit U Sigma V^T products, block-by-block assembly and dense
+TT reconstruction.
+"""
+
+import numpy as np
+import pytest
+
+from photopinn.config import ConfigError, RunConfig
+from photopinn.photonic import (
+    MziMesh,
+    NoiseModel,
+    PhotonicDense,
+    PhotonicMlp,
+    PhotonicTT,
+    SvdBlock,
+    block_phase_count,
+    clements_placements,
+    mesh_matrices,
+    mzi_rotation,
+    quantize_phases,
+    random_phases,
+    stage_neighbors,
+    svd_matrices,
+)
+from photopinn.tensortrain import TTLayout, tt_reconstruct
+from photopinn.training import _save_model, build_run_model, load_model, train
+
+TWO_PI = 2.0 * np.pi
+
+
+def reference_mesh(phases, n):
+    """One rotator at a time, in placement order: the pre-batching algorithm."""
+    u = np.eye(n)
+    c = np.cos(phases)
+    s = np.sin(phases)
+    for k, (i, j, _) in enumerate(clements_placements(n)):
+        ri = c[k] * u[i] + s[k] * u[j]
+        rj = -s[k] * u[i] + c[k] * u[j]
+        u[i] = ri
+        u[j] = rj
+    return u
+
+
+def explicit_block(phases, m, n, scale):
+    nu = m * (m - 1) // 2
+    k = min(m, n)
+    sig = np.zeros((m, n))
+    sig[np.arange(k), np.arange(k)] = scale * np.cos(phases[nu : nu + k])
+    return reference_mesh(phases[:nu], m) @ sig @ reference_mesh(phases[nu + k :], n)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_batched_mesh_equals_per_rotator_loop(n, rng):
+    phases = rng.uniform(0.0, TWO_PI, size=(5, n * (n - 1) // 2))
+    got = mesh_matrices(phases)
+    assert got.shape == (5, n, n)
+    for b in range(5):
+        assert np.array_equal(got[b], reference_mesh(phases[b], n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_mesh_is_orthogonal_with_n_choose_2_rotators(n, rng):
+    mesh = MziMesh.random(n, rng)
+    assert mesh.n_rotators == n * (n - 1) // 2 == len(clements_placements(n))
+    u = mesh.matrix()
+    np.testing.assert_allclose(u @ u.T, np.eye(n), atol=1e-12)
+    assert np.array_equal(u, reference_mesh(mesh.phases, n))
+
+
+def test_two_mode_mesh_is_one_rotation():
+    assert np.array_equal(MziMesh(2, [0.3]).matrix(), mzi_rotation(0.3))
+
+
+def test_mesh_diagonal_scales_rows(rng):
+    diag = np.array([1.0, -1.0, 1.0, -1.0])
+    mesh = MziMesh(4, rng.uniform(0.0, TWO_PI, size=6), diagonal=diag)
+    assert np.array_equal(mesh.matrix(), diag[:, None] * reference_mesh(mesh.phases, 4))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_stage_neighbors_pair_consecutive_rotators_of_one_stage(n):
+    by_stage = {}
+    for k, (_, _, stage) in enumerate(clements_placements(n)):
+        by_stage.setdefault(stage, []).append(k)
+    want = [(a, b) for ks in by_stage.values() for a, b in zip(ks[:-1], ks[1:])]
+    assert stage_neighbors(n).tolist() == [list(p) for p in want]
+
+
+@pytest.mark.parametrize("m,n", [(8, 8), (4, 6), (6, 4), (1, 4), (8, 2)])
+def test_svd_block_equals_explicit_u_sigma_vt(m, n, rng):
+    block = SvdBlock.random(m, n, 0.7, rng)
+    phases = np.concatenate([block.u_mesh.phases, block.sigma_phases, block.v_mesh.phases])
+    assert len(phases) == block.n_phases() == block_phase_count(m, n)
+    assert np.array_equal(block.matrix(), explicit_block(phases, m, n, 0.7))
+    batch = rng.uniform(0.0, TWO_PI, size=(3, len(phases)))
+    scales = np.array([0.5, 1.0, 2.0])
+    got = svd_matrices(batch, m, n, scales)
+    for b in range(3):
+        assert np.array_equal(got[b], explicit_block(batch[b], m, n, scales[b]))
+
+
+def test_dense_layer_assembles_block_grid_row_major(rng):
+    layer = PhotonicDense(11, 13, block=4)  # 4 x 3 grid, trimmed to 13 x 11
+    phases = random_phases(layer, rng)
+    want = np.zeros((16, 12))
+    for p in range(4):
+        for q in range(3):
+            want[4 * p : 4 * p + 4, 4 * q : 4 * q + 4] = explicit_block(phases[3 * p + q], 4, 4, layer.scale)
+    assert np.array_equal(layer.realized_weight(phases), want[:13, :11])
+
+
+def _small_model(rng, noise=None):
+    layers = [
+        PhotonicDense(3, 16, block=4),
+        PhotonicTT(TTLayout((4, 4), (4, 4), (1, 2, 1))),
+        PhotonicDense(16, 1, block=4),
+    ]
+    return PhotonicMlp(
+        layers,
+        [random_phases(layer, rng) for layer in layers],
+        noise=noise,
+        input_shift=np.array([0.1, 0.2, 0.3]),
+        input_scale=np.array([2.0, 1.0, 0.5]),
+        output_scale=3.0,
+    )
+
+
+def test_noiseless_model_equals_forward_through_realized_weights(rng):
+    model = _small_model(rng, NoiseModel.disabled())
+    spans = {name: slice(start, stop) for name, start, stop in model.segments()}
+    theta = model.get_flat()
+    for k in range(3):
+        theta[spans[f"layer{k}.bias"]] = rng.uniform(-0.5, 0.5, size=model.layers[k].n_out)
+    model.set_flat(theta)
+    assert np.array_equal(model.effective_phases(), model.phase_vector())
+
+    x = rng.uniform(-1.0, 1.0, size=(9, 3))
+    h = (x - model.input_shift) * model.input_scale
+    phases = model.phase_vector()
+    pos = 0
+    for k, layer in enumerate(model.layers):
+        n_ph = int(np.prod(layer.phase_shape))
+        ph = phases[pos : pos + n_ph].reshape(layer.phase_shape)
+        pos += n_ph
+        if isinstance(layer, PhotonicTT):
+            w = tt_reconstruct(layer.realized_cores(ph))
+        else:
+            w = layer.realized_weight(ph)
+        h = h @ w.T + theta[spans[f"layer{k}.bias"]]
+        if k < len(model.layers) - 1:
+            h = np.tanh(h)
+    np.testing.assert_allclose(model(x), 3.0 * h[:, 0], rtol=1e-12, atol=1e-14)
+    assert model(x[0]) == pytest.approx(model(x)[0], rel=1e-12)
+
+
+def test_noise_changes_effective_phases_only(rng):
+    model = _small_model(rng, NoiseModel(bits=6, crosstalk=0.01, seed=4))
+    theta = model.get_flat()
+    eff = model.effective_phases()
+    assert eff.shape == (model.n_phases,)
+    assert not np.array_equal(eff, model.phase_vector())
+    assert np.array_equal(model.get_flat(), theta)
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8, 12])
+def test_quantize_phases_is_idempotent(bits, rng):
+    phases = rng.uniform(-3 * TWO_PI, 3 * TWO_PI, size=200)
+    q = quantize_phases(phases, bits)
+    assert np.array_equal(quantize_phases(q, bits), q)
+    assert np.all((q >= 0.0) & (q < TWO_PI))
+
+
+def test_flat_round_trip_owns_its_copy(rng):
+    model = _small_model(rng)
+    theta = rng.uniform(0.0, TWO_PI, size=model.n_params)
+    model.set_flat(theta)
+    got = model.get_flat()
+    assert np.array_equal(got, theta)
+    got[:] = 0.0
+    theta[:] = 0.0
+    assert not np.array_equal(model.get_flat(), theta)
+    assert model.n_phases + sum(layer.n_out for layer in model.layers) == model.n_params
+
+
+def test_phase_checkpoint_round_trip(tmp_path, rng):
+    cfg = RunConfig(problem_name="black-scholes", domain="phase")
+    model = build_run_model(cfg, seed=5)
+    theta = model.get_flat() + 0.1 * rng.standard_normal(model.n_params)
+    model.set_flat(theta)
+    _save_model(tmp_path / "checkpoint.npz", cfg, model, 5, 7)
+    loaded, spec = load_model(tmp_path / "checkpoint.npz")
+    assert spec["seed"] == 5 and spec["iteration"] == 7
+    assert np.array_equal(loaded.get_flat(), theta)
+    x = np.array([[50.0, 0.5], [120.0, 0.9]])
+    assert np.array_equal(loaded(x), model(x))
+
+
+def test_phase_training_reruns_identically(tmp_path):
+    def run(out):
+        cfg = RunConfig(
+            problem_name="black-scholes",
+            domain="phase",
+            problem_residual_points=4,
+            problem_initial_points=2,
+            problem_boundary_points=2,
+            opt_iterations=2,
+            run_log_every=1,
+            run_eval_every=0,
+            run_out_dir=str(tmp_path / out),
+        )
+        train(cfg)
+        lines = (tmp_path / out / "black-scholes" / "seed0" / "metrics.csv").read_text().splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]  # drop wall_time
+
+    first = run("a")
+    assert len(first) == 4  # header, two logged steps, final
+    assert first == run("b")
+
+
+@pytest.mark.parametrize(
+    "problem,width",
+    [("black-scholes", 64), ("hjb", 256), ("burgers", 50), ("darcy", 64)],
+)
+def test_phase_model_rejects_width_that_misses_the_fold(problem, width):
+    cfg = RunConfig(problem_name=problem, domain="phase", model_tensorized=True, model_width=width)
+    with pytest.raises(ConfigError, match="model.width"):
+        build_run_model(cfg, seed=0)
+
+
+def test_phase_domain_rejects_other_dtypes():
+    with pytest.raises(ConfigError, match="dtype"):
+        RunConfig(domain="phase", model_dtype="float32")
+    assert RunConfig(domain="weight", model_dtype="float32").model_dtype == "float32"
