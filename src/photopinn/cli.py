@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -172,14 +170,11 @@ def _cmd_cost(args) -> int:
 def _cmd_mzi(args) -> int:
     from .config import load_config
     from .photonic.counting import model_mzi_counts
-    from .training import build_run_model
+    from .training import config_architecture
 
-    cfg = load_config(args.model)
-    cfg = replace(cfg, domain="phase")
-    model = build_run_model(cfg, cfg.seeds[0])
     total = 0
     print("layer,mzi_count")
-    for name, count in model_mzi_counts(model):
+    for name, count in model_mzi_counts(config_architecture(load_config(args.model)).layers):
         print(f"{name},{count}")
         total += count
     print(f"total,{total}")
@@ -196,31 +191,25 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    from .config import load_config, parse_config
+    from .tensortrain import TTLayout
+    from .training import build_run_model, config_architecture, load_model
+
     if args.checkpoint:
-        from .training import load_model
-
-        model, spec = load_model(args.checkpoint)
-        meta = spec if isinstance(spec, dict) else {}
+        model, meta = load_model(args.checkpoint)
+        cfg = parse_config(meta["config"], apply_env=False)
     else:
-        from .config import load_config
-        from .training import build_run_model
-
         cfg = load_config(args.config)
         model = build_run_model(cfg, cfg.seeds[0])
         meta = {}
     print(f"model: {type(model).__name__}, {model.n_params} trainable parameters")
     for name, start, stop in model.segments():
         print(f"  {name}: {stop - start}")
-    from .nets import TTLayer
-
-    for li, layer in enumerate(model.layers):
-        if isinstance(layer, TTLayer):
-            lay = layer.cores.layout
-            print(
-                f"  layer{li} TT layout: in {lay.in_factors} out {lay.out_factors} ranks {lay.ranks}"
-            )
+    for li, lay in enumerate(config_architecture(cfg).layers):
+        if isinstance(lay, TTLayout):
+            print(f"  layer{li} TT layout: in {lay.in_factors} out {lay.out_factors} ranks {lay.ranks}")
     if meta:
-        print(f"  seed {meta.get('seed')}, iteration {meta.get('iteration')}")
+        print(f"  seed {meta['seed']}, iteration {meta['iteration']}")
     return 0
 
 

@@ -10,7 +10,7 @@ override both.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "load_config"]
 
@@ -115,14 +115,18 @@ def _parse_value(f, raw: str):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{_dotted(f.name)}: expected a boolean, got {raw!r}")
-    if tname in ("int", str(int)):
-        return int(raw)
-    if tname in ("float", str(float)):
-        return float(raw)
-    if tname.startswith("tuple"):
-        if not raw:
-            return ()
-        return tuple(int(v) for v in raw.replace(",", " ").split())
+    try:
+        if tname in ("int", str(int)):
+            expected = "an integer"
+            return int(raw)
+        if tname in ("float", str(float)):
+            expected = "a number"
+            return float(raw)
+        if tname.startswith("tuple"):
+            expected = "comma-separated integers"
+            return tuple(int(v) for v in raw.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"{_dotted(f.name)}: expected {expected}, got {raw!r}") from None
     return raw
 
 

@@ -3,19 +3,19 @@
 A `TensorizedMlp` owns its trainable arrays and exposes them as one flat
 vector with named segments, which is what the zeroth-order optimizer
 perturbs.  Inputs can be affinely normalized and the output rescaled; both are
-fixed (non-trainable) problem-conditioning choices recorded in checkpoints.
+fixed (non-trainable) problem-conditioning choices taken from the model's
+architecture (`models.architecture`).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensortrain import TTCores, TTLayout, tt_forward, tt_init, tt_param_count
+from .tensortrain import TTCores, TTLayout, tt_forward, tt_init
 
-__all__ = ["DenseLayer", "TTLayer", "TensorizedMlp", "save_checkpoint", "load_checkpoint"]
+__all__ = ["DenseLayer", "TTLayer", "TensorizedMlp"]
 
 _ACTIVATIONS = {
     "tanh": np.tanh,
@@ -100,9 +100,6 @@ class TensorizedMlp:
     ):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        for a, b in zip(layers[:-1], layers[1:]):
-            if a.n_out != b.n_in:
-                raise ValueError(f"layer dims do not chain: {a.n_out} -> {b.n_in}")
         self.layers = layers
         self.activation = activation
         self.dtype = np.dtype(dtype)
@@ -170,60 +167,3 @@ class TensorizedMlp:
             layer.set_arrays(new)
         if pos != len(theta):
             raise ValueError(f"flat vector length {len(theta)} != {pos} trainables")
-
-
-# -- checkpoint container -----------------------------------------------------
-
-
-def save_checkpoint(path, model: TensorizedMlp, seed: int, iteration: int, extra: dict | None = None):
-    """Self-describing npz: a JSON spec plus every trainable array."""
-    spec = {
-        "activation": model.activation,
-        "output_scale": model.output_scale,
-        "seed": int(seed),
-        "iteration": int(iteration),
-        "extra": extra or {},
-        "layers": [],
-    }
-    arrays = {"input_shift": model.input_shift, "input_scale": model.input_scale}
-    for li, layer in enumerate(model.layers):
-        if isinstance(layer, DenseLayer):
-            spec["layers"].append({"kind": "dense"})
-        else:
-            lay = layer.cores.layout
-            spec["layers"].append(
-                {
-                    "kind": "tt",
-                    "in_factors": list(lay.in_factors),
-                    "out_factors": list(lay.out_factors),
-                    "ranks": list(lay.ranks),
-                }
-            )
-        for name, arr in layer.arrays():
-            arrays[f"layer{li}.{name}"] = arr
-    np.savez(path, spec=np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8), **arrays)
-
-
-def load_checkpoint(path) -> tuple[TensorizedMlp, dict]:
-    data = np.load(path)
-    spec = json.loads(bytes(data["spec"]).decode())
-    layers = []
-    for li, lspec in enumerate(spec["layers"]):
-        if lspec["kind"] == "dense":
-            layer = DenseLayer(weight=data[f"layer{li}.weight"], bias=data[f"layer{li}.bias"])
-        else:
-            layout = TTLayout(
-                tuple(lspec["in_factors"]), tuple(lspec["out_factors"]), tuple(lspec["ranks"])
-            )
-            cores = [data[f"layer{li}.core{k}"] for k in range(layout.L)]
-            layer = TTLayer(cores=TTCores(layout, cores), bias=data[f"layer{li}.bias"])
-        layers.append(layer)
-    model = TensorizedMlp(
-        layers,
-        activation=spec["activation"],
-        input_shift=data["input_shift"],
-        input_scale=data["input_scale"],
-        output_scale=spec["output_scale"],
-    )
-    meta = {"seed": spec["seed"], "iteration": spec["iteration"], "extra": spec["extra"]}
-    return model, meta

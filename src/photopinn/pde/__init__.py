@@ -4,7 +4,6 @@ from .problems import (
     PinnProblem,
     PROBLEM_NAMES,
     SamplingBudget,
-    darcy_residual,
     get_problem,
     pinn_loss,
     reference_solution,
@@ -14,6 +13,6 @@ from .problems import (
 from .black_scholes import bs_exact
 from .hjb import hjb_exact, hjb_transform
 from .burgers import burgers_exact, burgers_cole_hopf_quad, burgers_fd_solve
-from .darcy import darcy_fd_solve, default_permeability, random_two_value_field
+from .darcy import darcy_fd_solve, default_permeability
 from .oracles import oracle_build
 from .raster import Raster, load_raster, save_raster

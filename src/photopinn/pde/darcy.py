@@ -27,26 +27,10 @@ __all__ = [
     "GRID_N",
     "FORCING",
     "default_permeability",
-    "random_two_value_field",
     "darcy_boundary_multiplier",
     "darcy_transform",
     "darcy_fd_solve",
 ]
-
-
-def random_two_value_field(
-    resolution: int = GRID_N, low: float = 3.0, high: float = 12.0, seed: int = 7, blur: int = 24
-) -> Raster:
-    """Blobby two-valued field: smoothed seeded noise thresholded at its median."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((resolution, resolution))
-    # separable box blur repeated twice ~ smooth enough for contiguous blobs
-    kernel = np.ones(blur) / blur
-    for _ in range(2):
-        noise = np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="same"), 0, noise)
-        noise = np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="same"), 1, noise)
-    values = np.where(noise > np.median(noise), high, low)
-    return Raster(values=values.astype(float), extent=(0.0, 1.0, 0.0, 1.0))
 
 
 def default_permeability() -> Raster:

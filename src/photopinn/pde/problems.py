@@ -16,7 +16,7 @@ including time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -27,7 +27,7 @@ from . import black_scholes as bs
 from . import burgers as bg
 from . import darcy as dc
 from . import hjb
-from .raster import Raster, load_raster, save_raster
+from .raster import Raster, load_raster
 
 __all__ = [
     "LossWeights",
@@ -38,7 +38,6 @@ __all__ = [
     "pinn_loss",
     "relative_l2",
     "reference_solution",
-    "darcy_residual",
     "PROBLEM_NAMES",
 ]
 
@@ -149,17 +148,6 @@ def _make_darcy_residual(k_field: Raster):
         return k * lap - dc.FORCING
 
     return resid
-
-
-def darcy_residual(solution, x, k_field: Raster, stein_cfg: SteinConfig) -> float:
-    """Pointwise Darcy residual k(x) lap u(x) - f at a single interior point."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError(f"point {x} outside the unit square")
-    plan = SteinPlan(stein_cfg, 2)
-    vals = np.asarray(solution(plan.eval_points(x[None, :])), dtype=float)
-    lap = plan.combine(vals, ("laplacian",))["laplacian"][0]
-    return float(k_field.lookup_cell(x[None, :])[0] * lap - dc.FORCING)
 
 
 def get_problem(

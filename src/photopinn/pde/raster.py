@@ -33,10 +33,6 @@ class Raster:
     def cols(self) -> int:
         return self.values.shape[1]
 
-    def axis_points(self):
-        x0, x1, y0, y1 = self.extent
-        return np.linspace(x0, x1, self.rows), np.linspace(y0, y1, self.cols)
-
     def interp(self, points: np.ndarray) -> np.ndarray:
         """Bilinear interpolation at (P, 2) points, clamped to the extent."""
         x0, x1, y0, y1 = self.extent

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 from ..tensortrain import TTLayout
+from .model import DENSE_BLOCK_SIZE
 
 __all__ = [
     "mesh_mzi_count",
@@ -74,20 +75,18 @@ def tt_mzi_count(layout: TTLayout, replication=None, wavelengths: int | None = N
     return total
 
 
-def model_mzi_counts(model) -> list[tuple[str, int]]:
-    """Per-layer (name, count) for a weight- or phase-domain model."""
-    from ..nets import DenseLayer, TTLayer
-    from .model import DENSE_BLOCK_SIZE, PhotonicDense, PhotonicTT
+def model_mzi_counts(layers) -> list[tuple[str, int]]:
+    """Per-layer (name, count) for an architecture's layer list.
 
+    A dense (n_in, n_out) layer is a grid of DENSE_BLOCK_SIZE blocks; a
+    TTLayout gets one mesh per core.
+    """
     out = []
-    for li, layer in enumerate(model.layers):
-        if isinstance(layer, (DenseLayer, PhotonicDense)):
-            block = layer.block if isinstance(layer, PhotonicDense) else DENSE_BLOCK_SIZE
-            count = dense_mzi_count(layer.n_out, layer.n_in, block)
-        elif isinstance(layer, (TTLayer, PhotonicTT)):
-            layout = layer.cores.layout if isinstance(layer, TTLayer) else layer.layout
-            count = tt_mzi_count(layout)
+    for li, layer in enumerate(layers):
+        if isinstance(layer, TTLayout):
+            count = tt_mzi_count(layer)
         else:
-            raise TypeError(f"unknown layer type {type(layer)}")
+            n_in, n_out = layer
+            count = dense_mzi_count(n_out, n_in, DENSE_BLOCK_SIZE)
         out.append((f"layer{li}", count))
     return out

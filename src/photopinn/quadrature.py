@@ -37,7 +37,7 @@ evaluation at the negated node: one model query per node.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, sqrt
 from typing import Callable, Sequence
 
@@ -388,15 +388,11 @@ class SteinPlan:
         return out
 
 
-def _plan(cfg: SteinConfig, dim: int, call_index: int) -> SteinPlan:
-    return SteinPlan(cfg, dim, call_index)
-
-
 def _run(net, x, cfg, which, call_index):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    plan = _plan(cfg, pts.shape[1], call_index)
+    plan = SteinPlan(cfg, pts.shape[1], call_index)
     values = np.asarray(net(plan.eval_points(pts)), dtype=float)
     out = plan.combine(values, which)
     if single:

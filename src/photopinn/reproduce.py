@@ -7,13 +7,10 @@ comparisons under a documented convention, not assertions.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
-import numpy as np
-
-from .models import hjb_folds
-from .photonic.cost import FOOTPRINT_TABLE, footprint, latency
+from .models import architecture, build_model
+from .photonic.cost import footprint, latency
 from .photonic.counting import dense_mzi_count, tt_mzi_count
 from .quadrature import build_sparse_grid
 from .tensortrain import TTLayout, tt_param_count
@@ -77,83 +74,54 @@ def _grid_table():
     return rows, ok
 
 
-def _bs_model_params(tensorized: bool) -> int:
-    dense_in = 2 * 128 + 128
-    dense_out = 128 + 1
-    if tensorized:
-        hidden = tt_param_count(TTLayout((4, 4, 8), (8, 4, 4), (1, 2, 2, 1))) + 128
-    else:
-        hidden = 128 * 128 + 128
-    return dense_in + hidden + dense_out
+def _n_params(problem: str, tensorized: bool = True, rank: int = 2, width: int | None = None) -> int:
+    return build_model(problem, tensorized, rank, width).n_params
 
 
-def _hjb_model_params(rank: int | None) -> int:
-    if rank is None:
-        return (21 * 512 + 512) + (512 * 512 + 512) + (512 + 1)
-    (in_f, in_o), (h_f, h_o) = hjb_folds(512)
-    rk = lambda L: (1,) + (rank,) * (L - 1) + (1,)
-    return (
-        tt_param_count(TTLayout(in_f, in_o, rk(4)))
-        + 512
-        + tt_param_count(TTLayout(h_f, h_o, rk(4)))
-        + 512
-        + (512 + 1)
-    )
-
-
-def _burgers_model_params(tensorized: bool) -> int:
-    dense = (2 * 100 + 100) + (100 + 1)
-    if tensorized:
-        return dense + 3 * (tt_param_count(TTLayout((4, 5, 5), (5, 5, 4), (1, 2, 2, 1))) + 100)
-    return dense + 3 * (100 * 100 + 100)
+def _tt_layers(problem: str) -> list[TTLayout]:
+    return [layer for layer in architecture(problem).layers if isinstance(layer, TTLayout)]
 
 
 def _params_table():
+    hjb_dense, hjb_tt = _n_params("hjb", False), _n_params("hjb")
+    burgers_dense, burgers_tt = _n_params("burgers", False), _n_params("burgers")
     rows = [
-        _row("512x512 TT variables", tt_param_count(TTLayout((4, 4, 4, 8), (8, 4, 4, 4), (1, 2, 2, 2, 1))), 256, 0),
-        _row("HJB standard params", _hjb_model_params(None), 274_433, 0),
-        _row("HJB TT params (rank 2)", _hjb_model_params(2), 1_929, 0),
-        _row("HJB compression ratio", round(_hjb_model_params(None) / _hjb_model_params(2), 2), 142.27, 0),
-        _row("BS compression ratio", round(_bs_model_params(False) / _bs_model_params(True), 2), 20.44, 0),
+        _row("512x512 TT variables", tt_param_count(_tt_layers("hjb")[1]), 256, 0),
+        _row("HJB standard params", hjb_dense, 274_433, 0),
+        _row("HJB TT params (rank 2)", hjb_tt, 1_929, 0),
+        _row("HJB compression ratio", round(hjb_dense / hjb_tt, 2), 142.27, 0),
         _row(
-            "Burgers/Darcy compression ratio",
-            round(_burgers_model_params(False) / _burgers_model_params(True), 2),
-            24.74,
+            "BS compression ratio",
+            round(_n_params("black-scholes", False) / _n_params("black-scholes"), 2),
+            20.44,
             0,
         ),
-        _row("Burgers/Darcy standard params", _burgers_model_params(False), 30_701, 0),
-        _row("Burgers/Darcy TT params", _burgers_model_params(True), 1_241, 0),
+        _row("Burgers/Darcy compression ratio", round(burgers_dense / burgers_tt, 2), 24.74, 0),
+        _row("Burgers/Darcy standard params", burgers_dense, 30_701, 0),
+        _row("Burgers/Darcy TT params", burgers_tt, 1_241, 0),
     ]
     for rank, published in ((4, 2_705), (6, 3_865), (8, 5_409)):
-        rows.append(_row(f"HJB TT params (rank {rank})", _hjb_model_params(rank), published, 0))
+        rows.append(_row(f"HJB TT params (rank {rank})", _n_params("hjb", rank=rank), published, 0))
     for width, published in ((256, 71_681), (128, 19_457), (64, 5_633), (32, 1_793)):
-        p = (21 * width + width) + (width * width + width) + (width + 1)
-        rows.append(_row(f"HJB standard params (width {width})", p, published, 0))
+        rows.append(_row(f"HJB standard params (width {width})", _n_params("hjb", False, width=width), published, 0))
     ok = all(r[-1] != "FAIL" for r in rows)
     return rows, ok
 
 
 def _mzi_table():
+    def tt_total(problem):
+        return sum(tt_mzi_count(layout, wavelengths=8) for layout in _tt_layers(problem))
+
     rows = [
         _row("dense 128x128 (any blocking)", dense_mzi_count(128, 128, 8), 16_384, 0),
         _row("dense 64x64", dense_mzi_count(64, 64, 8), 4_096, 0),
-        _row(
-            "BS TT hidden (8-wavelength replication)",
-            tt_mzi_count(TTLayout((4, 4, 8), (8, 4, 4), (1, 2, 2, 1)), wavelengths=8),
-            384,
-            0,
-        ),
+        _row("BS TT hidden (8-wavelength replication)", tt_total("black-scholes"), 384, 0),
     ]
     # whole-model published counts: convention for the dense input/output
     # layers is not recoverable; report the tensorized-layer totals we derive
-    (in_f, in_o), (h_f, h_o) = hjb_folds(512)
-    hjb_tt = tt_mzi_count(TTLayout(in_f, in_o, (1, 2, 2, 2, 1)), wavelengths=8) + tt_mzi_count(
-        TTLayout(h_f, h_o, (1, 2, 2, 2, 1)), wavelengths=8
-    )
-    burgers_tt = 3 * tt_mzi_count(TTLayout((4, 5, 5), (5, 5, 4), (1, 2, 2, 1)), wavelengths=8)
-    rows.append(_target_row("BS whole model (TT layers only)", 384, 1_685))
-    rows.append(_target_row("HJB whole model (TT layers only)", hjb_tt, 2_057))
-    rows.append(_target_row("Burgers/Darcy whole model (TT layers only)", burgers_tt, 2_516))
+    rows.append(_target_row("BS whole model (TT layers only)", tt_total("black-scholes"), 1_685))
+    rows.append(_target_row("HJB whole model (TT layers only)", tt_total("hjb"), 2_057))
+    rows.append(_target_row("Burgers/Darcy whole model (TT layers only)", tt_total("burgers"), 2_516))
     ok = all(r[-1] != "FAIL" for r in rows)
     return rows, ok
 

@@ -18,18 +18,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, serialize_config
-from .models import build_model, hjb_folds
-from .nets import TensorizedMlp, save_checkpoint
-from .pde import OracleNotBuilt, get_problem, pinn_loss, reference_solution, relative_l2
+from .config import RunConfig, parse_config, serialize_config
+from .models import Architecture, architecture, build_model, build_phase_model
+from .pde import get_problem, pinn_loss, reference_solution, relative_l2
 from .pde.problems import LossWeights, PinnProblem, SamplingBudget
-from .photonic.model import PhotonicDense, PhotonicMlp, PhotonicTT, random_phases
 from .photonic.noise import NoiseModel
 from .quadrature import SteinConfig
-from .tensortrain import TTLayout
 from .zo import AdamState, DivergenceError, ParamView, ZoConfig, rge_estimate, zo_adam_step, zo_sgd_step
 
-__all__ = ["train", "evaluate_model", "RunReport", "build_run_model", "NumericalFailure"]
+__all__ = [
+    "train",
+    "evaluate_model",
+    "RunReport",
+    "build_run_model",
+    "config_architecture",
+    "load_model",
+    "NumericalFailure",
+]
 
 
 class NumericalFailure(RuntimeError):
@@ -105,21 +110,15 @@ def config_stein(cfg: RunConfig, problem: PinnProblem, seed: int) -> SteinConfig
     return SteinConfig(sigma=sigma, mode="monte-carlo", samples=cfg.loss_samples, seed=seed)
 
 
+def config_architecture(cfg: RunConfig) -> Architecture:
+    return architecture(cfg.problem_name, cfg.model_tensorized, cfg.model_rank, cfg.model_width or None)
+
+
 def build_run_model(cfg: RunConfig, seed: int):
     """Weight- or phase-domain model for the configured problem."""
+    args = (cfg.problem_name, cfg.model_tensorized, cfg.model_rank, cfg.model_width or None, seed)
     if cfg.domain == "weight":
-        return build_model(
-            cfg.problem_name,
-            tensorized=cfg.model_tensorized,
-            rank=cfg.model_rank,
-            width=cfg.model_width or None,
-            seed=seed,
-            dtype=np.dtype(cfg.model_dtype),
-        )
-    return _build_phase_model(cfg, seed)
-
-
-def _build_phase_model(cfg: RunConfig, seed: int) -> PhotonicMlp:
+        return build_model(*args, dtype=np.dtype(cfg.model_dtype))
     noise = NoiseModel(
         bits=cfg.noise_bits or None,
         gamma_std=cfg.noise_gamma_std,
@@ -127,70 +126,7 @@ def _build_phase_model(cfg: RunConfig, seed: int) -> PhotonicMlp:
         phase_bias=cfg.noise_phase_bias,
         seed=cfg.noise_seed,
     )
-    rank = cfg.model_rank
-    name = cfg.problem_name
-    conditioning = {}
-    # `draw_order` lists layers in the order their initial phases are drawn;
-    # it is fixed so every seed keeps the same initial theta.
-    if name == "black-scholes":
-        from .pde import black_scholes as bs
-
-        w = cfg.model_width or 128
-        hidden = (
-            PhotonicTT(TTLayout((4, 4, 8), (8, 4, 4), (1, rank, rank, 1)))
-            if cfg.model_tensorized
-            else PhotonicDense(w, w)
-        )
-        layers = [PhotonicDense(2, w), hidden, PhotonicDense(w, 1)]
-        draw_order = [1, 0, 2]
-        activation = "tanh"
-        conditioning = dict(
-            input_shift=np.array([bs.X_MAX / 2.0, bs.HORIZON / 2.0]),
-            input_scale=np.array([2.0 / bs.X_MAX, 2.0 / bs.HORIZON]),
-            output_scale=bs.STRIKE,
-        )
-    elif name == "hjb":
-        w = cfg.model_width or 512
-        if cfg.model_tensorized:
-            try:
-                (in_f, in_o), (h_f, h_o) = hjb_folds(w)
-            except KeyError as exc:
-                raise ConfigError(f"hjb: no tensor-train fold for model.width={w}") from exc
-            layers = [
-                PhotonicTT(TTLayout(in_f, in_o, (1,) + (rank,) * (len(in_f) - 1) + (1,))),
-                PhotonicTT(TTLayout(h_f, h_o, (1,) + (rank,) * (len(h_f) - 1) + (1,))),
-                PhotonicDense(w, 1),
-            ]
-        else:
-            layers = [PhotonicDense(21, w), PhotonicDense(w, w), PhotonicDense(w, 1)]
-        draw_order = [0, 1, 2]
-        activation = "sine"
-    elif name in ("burgers", "darcy"):
-        w = cfg.model_width or 100
-        if cfg.model_tensorized:
-            hiddens = [PhotonicTT(TTLayout((4, 5, 5), (5, 5, 4), (1, rank, rank, 1))) for _ in range(3)]
-        else:
-            hiddens = [PhotonicDense(w, w) for _ in range(3)]
-        layers = [PhotonicDense(2, w), *hiddens, PhotonicDense(w, 1)]
-        draw_order = [1, 2, 3, 0, 4]
-        activation = "tanh"
-        conditioning = dict(
-            input_shift=np.array([0.0, 0.5]) if name == "burgers" else np.array([0.5, 0.5]),
-            input_scale=np.array([1.0, 2.0]) if name == "burgers" else np.array([2.0, 2.0]),
-        )
-    else:
-        raise KeyError(name)
-    for k in range(len(layers) - 1):
-        if layers[k].n_out != layers[k + 1].n_in:
-            raise ConfigError(
-                f"{name}: model.width={w} does not fit the tensor-train fold "
-                f"(layer {k} has {layers[k].n_out} outputs, layer {k + 1} takes {layers[k + 1].n_in})"
-            )
-    rng = np.random.default_rng(seed)
-    phases = [None] * len(layers)
-    for k in draw_order:
-        phases[k] = random_phases(layers[k], rng)
-    return PhotonicMlp(layers, phases, activation=activation, noise=noise, **conditioning)
+    return build_phase_model(*args, noise=noise)
 
 
 def evaluate_model(model, problem: PinnProblem, max_points: int | None = None):
@@ -219,13 +155,13 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunReport:
 
 
 def _train_one_seed(cfg: RunConfig, seed: int, verbose: bool) -> SeedResult:
+    model = build_run_model(cfg, seed)
+    problem = config_problem(cfg)
+    stein = config_stein(cfg, problem, seed)
     out_dir = Path(cfg.run_out_dir) / cfg.problem_name / f"seed{seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.cfg").write_text(serialize_config(cfg))
 
-    problem = config_problem(cfg)
-    stein = config_stein(cfg, problem, seed)
-    model = build_run_model(cfg, seed)
     theta = model.get_flat()
     view = ParamView.from_segments(model.segments())
     zo_cfg = ZoConfig(
@@ -312,32 +248,16 @@ def _write_rows(path, rows):
 
 
 def _save_model(path, cfg: RunConfig, model, seed: int, iteration: int) -> None:
-    if isinstance(model, TensorizedMlp):
-        save_checkpoint(path, model, seed=seed, iteration=iteration, extra={"config": serialize_config(cfg)})
-    else:
-        spec = {
-            "domain": "phase",
-            "seed": seed,
-            "iteration": iteration,
-            "config": serialize_config(cfg),
-        }
-        np.savez(
-            path,
-            spec=np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8),
-            theta=model.get_flat(),
-        )
+    """One format for both domains: the JSON spec (config, seed, iteration) plus theta."""
+    spec = {"domain": cfg.domain, "seed": seed, "iteration": iteration, "config": serialize_config(cfg)}
+    np.savez(path, spec=np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8), theta=model.get_flat())
 
 
 def load_model(path):
-    """Rebuild a trained model from a checkpoint (either domain)."""
-    from .config import parse_config
-    from .nets import load_checkpoint
-
-    data = np.load(path)
-    spec = json.loads(bytes(data["spec"]).decode())
-    if spec.get("domain") == "phase":
-        cfg = parse_config(spec["config"], apply_env=False)
-        model = _build_phase_model(cfg, spec["seed"])
-        model.set_flat(data["theta"])
-        return model, spec
-    return load_checkpoint(path)
+    """Rebuild a trained model from its checkpoint; returns (model, spec)."""
+    with np.load(path) as data:
+        spec = json.loads(bytes(data["spec"]).decode())
+        theta = data["theta"]
+    model = build_run_model(parse_config(spec["config"], apply_env=False), spec["seed"])
+    model.set_flat(theta)
+    return model, spec

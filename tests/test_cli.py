@@ -1,0 +1,98 @@
+"""Command-line exit codes and outputs, and the config errors behind them.
+
+MZI totals are pinned to the counts the per-layer-class counter gave before
+counting moved onto the architecture's layer list.
+"""
+
+import pytest
+
+from photopinn.cli import EXIT_CONFIG, main
+from photopinn.config import parse_config
+from photopinn.training import _save_model, build_run_model
+
+
+def _write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("table", ["cost", "sparse-grid-counts", "params", "mzi"])
+def test_reproduce_tables_pass(table, capsys):
+    assert main(["reproduce", "--table", table]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("overall: pass")
+
+
+@pytest.mark.parametrize(
+    "problem,tensorized,total",
+    [
+        ("black-scholes", True, 2240),
+        ("black-scholes", False, 18432),
+        ("hjb", True, 4519),
+        ("hjb", False, 278528),
+        ("burgers", True, 2222),
+        ("burgers", False, 34112),
+        ("darcy", True, 2222),
+        ("darcy", False, 34112),
+    ],
+)
+def test_mzi_count_totals(problem, tensorized, total, tmp_path, capsys):
+    cfg = _write_config(tmp_path, f"problem.name = {problem}\nmodel.tensorized = {str(tensorized).lower()}\n")
+    assert main(["mzi-count", "--model", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counts = [int(line.split(",")[1]) for line in lines[1:-1]]
+    assert lines[-1] == f"total,{total}" and sum(counts) == total
+
+
+@pytest.mark.parametrize(
+    "key,raw,expected",
+    [
+        ("model.rank", "two", "an integer"),
+        ("opt.lr", "fast", "a number"),
+        ("run.seeds", "1,x", "comma-separated integers"),
+    ],
+)
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_train_with_bad_value_exits_2(source, key, raw, expected, tmp_path, monkeypatch, capsys):
+    if source == "env":
+        monkeypatch.setenv("PHOTOPINN_" + key.replace(".", "__").upper(), raw)
+        cfg = _write_config(tmp_path, "")
+    else:
+        cfg = _write_config(tmp_path, f"{key} = {raw}\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    assert f"config error: {key}: expected {expected}, got '{raw}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("model.width = 64\n", "model.width=64 does not fit"),
+        ("model.rank = 0\n", "model.rank must be >= 1"),
+        ("model.tensorized = false\nmodel.width = -8\n", "model.width must be >= 1"),
+        ("problem.name = heat\n", "unknown problem 'heat'"),
+    ],
+)
+def test_train_with_unbuildable_model_exits_2(text, message, tmp_path, capsys):
+    cfg = _write_config(tmp_path, text)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("domain", ["weight", "phase"])
+@pytest.mark.parametrize("source", ["config", "checkpoint"])
+def test_model_inspect_lists_tt_layouts(domain, source, tmp_path, capsys):
+    text = f"problem.name = burgers\ndomain = {domain}\nrun.seed = 2\n"
+    path = _write_config(tmp_path, text)
+    if source == "checkpoint":
+        cfg = parse_config(text, apply_env=False)
+        path = str(tmp_path / "checkpoint.npz")
+        _save_model(path, cfg, build_run_model(cfg, 2), 2, 9)
+    assert main(["model", "inspect", f"--{source}", path]) == 0
+    out = capsys.readouterr().out
+    layouts = [line.strip() for line in out.splitlines() if "TT layout" in line]
+    assert layouts == [
+        f"layer{k} TT layout: in (4, 5, 5) out (5, 5, 4) ranks (1, 2, 2, 1)" for k in (1, 2, 3)
+    ]
+    if source == "checkpoint":
+        assert "seed 2, iteration 9" in out

@@ -186,14 +186,19 @@ def test_flat_round_trip_owns_its_copy(rng):
     assert model.n_phases + sum(layer.n_out for layer in model.layers) == model.n_params
 
 
-def test_phase_checkpoint_round_trip(tmp_path, rng):
-    cfg = RunConfig(problem_name="black-scholes", domain="phase")
+@pytest.mark.parametrize(
+    "domain,dtype", [("phase", "float64"), ("weight", "float64"), ("weight", "float32")]
+)
+def test_checkpoint_round_trip(domain, dtype, tmp_path, rng):
+    cfg = RunConfig(problem_name="black-scholes", domain=domain, model_dtype=dtype)
     model = build_run_model(cfg, seed=5)
     theta = model.get_flat() + 0.1 * rng.standard_normal(model.n_params)
     model.set_flat(theta)
+    theta = model.get_flat()  # as stored: float32 weights round theta
     _save_model(tmp_path / "checkpoint.npz", cfg, model, 5, 7)
     loaded, spec = load_model(tmp_path / "checkpoint.npz")
-    assert spec["seed"] == 5 and spec["iteration"] == 7
+    assert spec["seed"] == 5 and spec["iteration"] == 7 and spec["domain"] == domain
+    assert type(loaded) is type(model)
     assert np.array_equal(loaded.get_flat(), theta)
     x = np.array([[50.0, 0.5], [120.0, 0.9]])
     assert np.array_equal(loaded(x), model(x))
@@ -221,14 +226,27 @@ def test_phase_training_reruns_identically(tmp_path):
     assert first == run("b")
 
 
+_WIDTHS_THAT_MISS_THE_FOLD = [("black-scholes", 64), ("hjb", 256), ("burgers", 50), ("darcy", 64)]
+
+
 @pytest.mark.parametrize(
-    "problem,width",
-    [("black-scholes", 64), ("hjb", 256), ("burgers", 50), ("darcy", 64)],
+    "domain,problem,width",
+    [pytest.param("phase", p, w, id=f"{p}-{w}") for p, w in _WIDTHS_THAT_MISS_THE_FOLD]
+    + [pytest.param("weight", p, w, id=f"{p}-{w}-weight") for p, w in _WIDTHS_THAT_MISS_THE_FOLD],
 )
-def test_phase_model_rejects_width_that_misses_the_fold(problem, width):
-    cfg = RunConfig(problem_name=problem, domain="phase", model_tensorized=True, model_width=width)
+def test_phase_model_rejects_width_that_misses_the_fold(domain, problem, width, tmp_path):
+    cfg = RunConfig(
+        problem_name=problem,
+        domain=domain,
+        model_tensorized=True,
+        model_width=width,
+        run_out_dir=str(tmp_path),
+    )
     with pytest.raises(ConfigError, match="model.width"):
         build_run_model(cfg, seed=0)
+    with pytest.raises(ConfigError, match="model.width"):
+        train(cfg)
+    assert not (tmp_path / problem / "seed0").exists()  # nothing written before the build
 
 
 def test_phase_domain_rejects_other_dtypes():
