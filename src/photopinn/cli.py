@@ -1,8 +1,9 @@
 """Command-line experiment driver.
 
 Subcommands: train, evaluate, grid, oracle build, cost, mzi-count, reproduce,
-model inspect.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+model inspect.  Exit codes: 0 success, 2 input error (bad arguments, a bad
+config, bad grid dimension or level, a missing file), 3 numerical failure.
+Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ import argparse
 import sys
 
 import numpy as np
+
+from .config import ConfigError
+from .photonic.cost import ARCHITECTURES
+from .quadrature import QuadratureError
+from .reproduce import TABLE_IDS
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -29,7 +35,6 @@ def main(argv=None) -> int:
 
     p_eval = sub.add_parser("evaluate", help="hold-out metric and field dump for a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--problem", required=True)
     p_eval.add_argument("--oracle-dir", default="artifacts/oracles")
     p_eval.add_argument("--dump", default=None, help="write (x, u_exact, u_pred) CSV here")
 
@@ -45,13 +50,13 @@ def main(argv=None) -> int:
     p_ob.add_argument("--oracle-dir", default="artifacts/oracles")
 
     p_cost = sub.add_parser("cost", help="latency/footprint tables")
-    p_cost.add_argument("--arch", default="all")
+    p_cost.add_argument("--arch", default="all", choices=("all", *ARCHITECTURES))
 
     p_mzi = sub.add_parser("mzi-count", help="per-layer MZI counts for a configured model")
     p_mzi.add_argument("--model", required=True, help="run config file describing the model")
 
     p_rep = sub.add_parser("reproduce", help="compare against published numbers")
-    p_rep.add_argument("--table", required=True)
+    p_rep.add_argument("--table", required=True, choices=TABLE_IDS)
     p_rep.add_argument("--run-dir", default=None)
 
     p_model = sub.add_parser("model", help="model utilities")
@@ -64,7 +69,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (ConfigError, QuadratureError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -90,7 +95,7 @@ def _dispatch(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .config import ConfigError, load_config
+    from .config import load_config
     from .training import NumericalFailure, train
 
     overrides = {}
@@ -116,11 +121,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .pde import get_problem
-    from .training import evaluate_model, load_model
+    from dataclasses import replace
+
+    from .config import parse_config
+    from .training import config_problem, evaluate_model, load_model
 
     model, spec = load_model(args.checkpoint)
-    problem = get_problem(args.problem, oracle_dir=args.oracle_dir)
+    cfg = replace(parse_config(spec["config"], apply_env=False), run_oracle_dir=args.oracle_dir)
+    problem = config_problem(cfg)
     rel, pts, pred, ref = evaluate_model(model, problem)
     print(f"relative_l2 {rel:.8e} over {len(pts)} hold-out points")
     if args.dump:
@@ -156,7 +164,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    from .photonic.cost import ARCHITECTURES, footprint, latency
+    from .photonic.cost import footprint, latency
 
     archs = list(ARCHITECTURES) if args.arch == "all" else [args.arch]
     print("arch,t_inference_ns,t_epoch_ms,t_total_s,footprint_mm2")

@@ -12,7 +12,7 @@ from .problems import (
 )
 from .black_scholes import bs_exact
 from .hjb import hjb_exact, hjb_transform
-from .burgers import burgers_exact, burgers_cole_hopf_quad, burgers_fd_solve
+from .burgers import burgers_exact, burgers_cole_hopf_quad
 from .darcy import darcy_fd_solve, default_permeability
 from .oracles import oracle_build
 from .raster import Raster, load_raster, save_raster

@@ -15,8 +15,8 @@ benign in float64 because the num/den ratio cancels the large common scale.
 (The equivalent Fourier-Bessel series is NOT used: its denominator loses all
 significant digits where phi is exponentially small, i.e. near x = 0.)
 
-A conservative Godunov upwind finite-difference solve provides the fully
-independent cross-check used by the tests and by `oracle build` verification.
+The tests cross-check it against an independent conservative Godunov upwind
+finite-difference solve.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from scipy.integrate import quad
 NU = 0.01 / np.pi
 _A = 1.0 / (2.0 * np.pi * NU)  # = 50
 
-__all__ = ["NU", "burgers_exact", "burgers_cole_hopf_quad", "burgers_fd_solve", "burgers_initial"]
+__all__ = ["NU", "burgers_exact", "burgers_cole_hopf_quad", "burgers_initial"]
 
 
 def burgers_initial(x):
@@ -77,37 +77,3 @@ def burgers_exact(x, t):
     out = np.array([burgers_cole_hopf_quad(xi, ti) for xi, ti in zip(xb.ravel(), tb.ravel())])
     out = out.reshape(xb.shape)
     return out if out.ndim else float(out)
-
-
-def burgers_fd_solve(n_x: int = 4096, t_out: np.ndarray | None = None):
-    """Conservative upwind finite-difference solve on n_x nodes.
-
-    Returns (x nodes, t_out, u values of shape (len(t_out), n_x)).
-    """
-    if t_out is None:
-        t_out = np.linspace(0.0, 1.0, 11)
-    x = np.linspace(-1.0, 1.0, n_x)
-    dx = x[1] - x[0]
-    dt = 0.2 * min(dx**2 / (2.0 * NU), dx)  # diffusion-limited explicit step
-    u = -np.sin(np.pi * x)
-    out = np.empty((len(t_out), n_x))
-    t = 0.0
-    oi = 0
-    while oi < len(t_out):
-        while oi < len(t_out) and t >= t_out[oi] - 1e-12:
-            out[oi] = u
-            oi += 1
-        if oi >= len(t_out):
-            break
-        step = min(dt, t_out[oi] - t)
-        # Godunov flux for the convex flux u^2/2: max over shock, min over fan
-        ul, ur = u[:-1], u[1:]
-        flux = np.where(ul <= ur, np.minimum(ul**2, ur**2), np.maximum(ul**2, ur**2)) / 2.0
-        flux[(ul <= 0.0) & (ur >= 0.0)] = 0.0  # sonic point inside the fan
-        diff = NU * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-        u = u.copy()
-        u[1:-1] += step * (-(flux[1:] - flux[:-1]) / dx + diff)
-        u[0] = 0.0
-        u[-1] = 0.0
-        t += step
-    return x, np.asarray(t_out), out

@@ -3,7 +3,8 @@
 Square N x N SVD realizations need N(N-1)/2 + N + N(N-1)/2 = N^2 devices, a
 count independent of any k x k blocking (ceil(M/k) ceil(N/k) blocks of k^2).
 Rectangular a x b core meshes are counted as their SVD realization: square
-a- and b-meshes plus min(a, b) attenuators.
+a- and b-meshes plus min(a, b) attenuators, one device per phase
+(`svd.block_phase_count`).
 
 For tensorized layers, core k has an (r_k-1 m_k) x (n_k r_k) mesh applied to
 a contraction batch of prod(n_j, j<k) * prod(m_j, j>k) independent slices; a
@@ -21,9 +22,9 @@ import math
 
 from ..tensortrain import TTLayout
 from .model import DENSE_BLOCK_SIZE
+from .svd import block_phase_count
 
 __all__ = [
-    "mesh_mzi_count",
     "dense_mzi_count",
     "tt_mzi_count",
     "tt_replication",
@@ -31,15 +32,8 @@ __all__ = [
 ]
 
 
-def mesh_mzi_count(a: int, b: int) -> int:
-    """Devices in the SVD realization of an a x b matrix."""
-    return a * (a - 1) // 2 + b * (b - 1) // 2 + min(a, b)
-
-
-def dense_mzi_count(rows: int, cols: int, block: int | None = None) -> int:
+def dense_mzi_count(rows: int, cols: int, block: int) -> int:
     """Blocked dense layer: ceil(M/k) * ceil(N/k) blocks of k^2 devices."""
-    if block is None:
-        return mesh_mzi_count(rows, cols)
     p = -(-rows // block)
     q = -(-cols // block)
     return p * q * block * block
@@ -54,24 +48,17 @@ def tt_replication(layout: TTLayout, wavelengths: int = 8) -> list[int]:
     return out
 
 
-def tt_mzi_count(layout: TTLayout, replication=None, wavelengths: int | None = None) -> int:
-    """Sum over cores of h_k devices for the (r_k-1 m_k) x (n_k r_k) mesh.
+def tt_mzi_count(layout: TTLayout, wavelengths: int | None = None) -> int:
+    """Sum over cores of h_k devices for the (r_k-1 m_k) x (n_k r_k) SVD block.
 
-    `replication` overrides h_k directly; `wavelengths` derives it from the
-    space-multiplexing rule; default is one mesh per core.
+    `wavelengths` derives h_k from the space-multiplexing rule; by default
+    each core has one mesh.
     """
-    if replication is not None and wavelengths is not None:
-        raise ValueError("pass either replication or wavelengths, not both")
-    if wavelengths is not None:
-        replication = tt_replication(layout, wavelengths)
-    if replication is None:
-        replication = [1] * layout.L
-    if len(replication) != layout.L:
-        raise ValueError("need one replication factor per core")
+    replication = tt_replication(layout, wavelengths) if wavelengths is not None else [1] * layout.L
     total = 0
     for k, h in enumerate(replication):
         r0, m, n, r1 = layout.core_shape(k)
-        total += h * mesh_mzi_count(r0 * m, n * r1)
+        total += h * block_phase_count(r0 * m, n * r1)
     return total
 
 

@@ -2,8 +2,8 @@
 
 Dense layers become ceil(M/k) x ceil(N/k) grids of k x k SVD blocks (k = 8);
 tensor-train layers realize each core unfolding (r_k-1 * m_k) x (n_k * r_k)
-as one rectangular SVD block, reshaped back into the 4-way core for the usual
-TT contraction.  Biases stay digital.
+as one rectangular SVD block, reshaped back into the 4-way core; `tt_forward`
+then multiplies by the matrix those cores reconstruct.  Biases stay digital.
 
 The model's flat vector theta (per layer: all phases, then that layer's bias)
 is the only store of phases and biases; it matches the weight models' segment

@@ -99,38 +99,19 @@ class Rule1D:
         return float(np.dot(w, np.asarray(f(x), dtype=float)))
 
 
-def rule_1d(level: int, extended: bool = False) -> Rule1D:
-    """Return the nested rule for the given accuracy level.
-
-    Levels 1-3 are the supported sequence.  With ``extended=True`` higher
-    levels append further zero-weight node pairs at outer 5/7/...-point
-    Gauss-Hermite abscissae; they grow the node count (2*level - 1) without
-    raising the polynomial exactness and exist only for grid-size studies.
-    """
-    if level < 1:
-        raise UnsupportedLevelError(f"level must be >= 1, got {level}")
-    if level > 3 and not extended:
-        raise UnsupportedLevelError(
-            f"level {level} not supported (enable the extended-rule feature for size studies)"
-        )
+def rule_1d(level: int) -> Rule1D:
+    """Return the nested rule for the given accuracy level (1, 2 or 3)."""
+    if level not in (1, 2, 3):
+        raise UnsupportedLevelError(f"level {level} not supported (choose 1, 2 or 3)")
     if level == 1:
         return Rule1D(1, (0.0,), (1.0,))
     if level == 2:
         return Rule1D(2, (-_SQRT3, 0.0, _SQRT3), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
-    if level == 3:
-        return Rule1D(
-            3,
-            (-_B3, -_SQRT3, 0.0, _SQRT3, _B3),
-            (0.0, 1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0, 0.0),
-        )
-    # Extended levels: pad outward with zero-weight pairs taken from the
-    # (2*level - 1)-point Gauss-Hermite abscissae.
-    prev = rule_1d(level - 1, extended=True)
-    gh_nodes = np.polynomial.hermite_e.hermegauss(2 * level - 1)[0]
-    outer = float(np.max(np.abs(gh_nodes)))
-    nodes = (-outer,) + prev.nodes + (outer,)
-    weights = (0.0,) + prev.weights + (0.0,)
-    return Rule1D(level, nodes, weights)
+    return Rule1D(
+        3,
+        (-_B3, -_SQRT3, 0.0, _SQRT3, _B3),
+        (0.0, 1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0, 0.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -176,7 +157,7 @@ def _excess_assignments(dim: int, q: int, max_excess: int):
                 yield dict(zip(coords, perm))
 
 
-def build_sparse_grid(dim: int, level: int, extended: bool = False) -> SparseGrid:
+def build_sparse_grid(dim: int, level: int) -> SparseGrid:
     """Construct the level-k Smolyak grid for D-variate standard-normal integration.
 
     Nodes coinciding across index tuples are merged with their signed weights
@@ -185,9 +166,9 @@ def build_sparse_grid(dim: int, level: int, extended: bool = False) -> SparseGri
     """
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    if level < 1 or (level > 3 and not extended):
+    if level not in (1, 2, 3):
         raise UnsupportedLevelError(f"level {level} not supported")
-    rules = {l: rule_1d(l, extended=extended) for l in range(1, level + 1)}
+    rules = {l: rule_1d(l) for l in range(1, level + 1)}
     base = rules[1]
     accum: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
     for q in range(max(0, level - dim), level):

@@ -8,9 +8,11 @@ chain product of core slices:
 
     W[i, j] = G_1(i_1, j_1) @ G_2(i_2, j_2) @ ... @ G_L(i_L, j_L).
 
-`tt_forward` contracts an input batch against the cores one at a time and
-never materializes W; `tt_reconstruct` builds the dense matrix for oracles and
-small layers.
+`tt_reconstruct` builds the dense matrix by chaining the cores; `tt_forward`
+multiplies an input batch by it.  Reconstruction costs O(M N) and does not
+depend on the batch, so one GEMM per layer is cheaper than contracting the
+batch against each core in turn.  The compression (parameter and device
+counts) lives in the cores, not in the order of the CPU contraction.
 """
 
 from __future__ import annotations
@@ -129,82 +131,11 @@ def tt_reconstruct(cores: TTCores, cap: int = RECONSTRUCT_CAP) -> np.ndarray:
 
 
 def tt_forward(cores: TTCores, x: np.ndarray) -> np.ndarray:
-    """Compute W @ x (or batched x of shape (B, N) -> (B, M)) by core contractions."""
-    lay = cores.layout
+    """Compute W @ x (or batched x of shape (B, N) -> (B, M)) through the reconstructed W."""
     x = np.asarray(x)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    if xb.shape[1] != lay.cols:
-        raise ValueError(f"input length {xb.shape[1]} != layout cols {lay.cols}")
-    B = xb.shape[0]
-    if _forward_cost(lay) <= _reverse_cost(lay):
-        out = _contract_head_first(lay, cores.cores, xb)
-    else:
-        out = _contract_tail_first(lay, cores.cores, xb)
-    return out[0] if single else out
-
-
-def _forward_cost(lay: TTLayout) -> int:
-    """Peak intermediate size (per batch row) when contracting cores 1..L."""
-    peak = lay.cols
-    done = 1
-    pending = lay.cols
-    for k in range(lay.L):
-        pending //= lay.in_factors[k]
-        done *= lay.out_factors[k]
-        peak = max(peak, done * lay.ranks[k + 1] * pending)
-    return peak
-
-
-def _reverse_cost(lay: TTLayout) -> int:
-    peak = lay.cols
-    done = 1
-    pending = lay.cols
-    for k in range(lay.L - 1, -1, -1):
-        pending //= lay.in_factors[k]
-        done *= lay.out_factors[k]
-        peak = max(peak, pending * lay.ranks[k] * done)
-    return peak
-
-
-def _contract_head_first(lay: TTLayout, cores: list[np.ndarray], xb: np.ndarray) -> np.ndarray:
-    B = xb.shape[0]
-    # t invariant: (B', r_{k-1} * pending) where pending = n_k * ... * n_L and
-    # B' folds the batch with the output factors produced so far (row-major).
-    t = xb.reshape(B, lay.cols)
-    pending = lay.cols
-    for k in range(lay.L):
-        n_k, m_k = lay.in_factors[k], lay.out_factors[k]
-        r0, r1 = lay.ranks[k], lay.ranks[k + 1]
-        pending //= n_k
-        # (B', r0*n_k, pending) x (r0*n_k, m_k*r1) -> (B', pending, m_k*r1)
-        cm = cores[k].transpose(0, 2, 1, 3).reshape(r0 * n_k, m_k * r1)
-        t = np.tensordot(t.reshape(-1, r0 * n_k, pending), cm, axes=(1, 0))
-        # reorder to (B'*m_k, r1*pending) keeping row-major output indexing
-        t = np.ascontiguousarray(t.transpose(0, 2, 1)).reshape(-1, r1 * pending)
-    return t.reshape(B, lay.rows)
-
-
-def _contract_tail_first(lay: TTLayout, cores: list[np.ndarray], xb: np.ndarray) -> np.ndarray:
-    B = xb.shape[0]
-    # t invariant: (B, done, pending, r_k) with pending = n_1 * ... * n_k
-    # (n_k fastest) and done = m_k+1 * ... * m_L (m_k+1 slowest).  The
-    # contracted (n_k, r_k) pair sits trailing, so each core costs one batched
-    # matmul plus one reordering copy.
-    t = xb.reshape(B, 1, lay.cols, 1)
-    pending = lay.cols
-    done = 1
-    for k in range(lay.L - 1, -1, -1):
-        n_k, m_k = lay.in_factors[k], lay.out_factors[k]
-        r0, r1 = lay.ranks[k], lay.ranks[k + 1]
-        pending //= n_k
-        cm = cores[k].transpose(2, 3, 0, 1).reshape(n_k * r1, r0 * m_k)
-        u = t.reshape(B * done * pending, n_k * r1) @ cm
-        u = u.reshape(B, done, pending, r0, m_k)
-        t = np.ascontiguousarray(u.transpose(0, 4, 1, 2, 3))
-        done *= m_k
-        t = t.reshape(B, done, pending, r0)
-    return t.reshape(B, lay.rows)
+    if x.shape[-1] != cores.layout.cols:
+        raise ValueError(f"input length {x.shape[-1]} != layout cols {cores.layout.cols}")
+    return x @ tt_reconstruct(cores).T
 
 
 def tt_init(layout: TTLayout, seed: int) -> TTCores:

@@ -1,4 +1,4 @@
-"""Command-line exit codes and outputs, and the config errors behind them.
+"""Command-line exit codes and outputs, and the input errors behind them.
 
 MZI totals are pinned to the counts the per-layer-class counter gave before
 counting moved onto the architecture's layer list.
@@ -6,9 +6,10 @@ counting moved onto the architecture's layer list.
 
 import pytest
 
-from photopinn.cli import EXIT_CONFIG, main
+from photopinn import training
+from photopinn.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from photopinn.config import parse_config
-from photopinn.training import _save_model, build_run_model
+from photopinn.training import NumericalFailure, _save_model, build_run_model, config_problem, evaluate_model
 
 
 def _write_config(tmp_path, text):
@@ -96,3 +97,62 @@ def test_model_inspect_lists_tt_layouts(domain, source, tmp_path, capsys):
     ]
     if source == "checkpoint":
         assert "seed 2, iteration 9" in out
+
+
+def test_evaluate_takes_the_problem_from_the_checkpoint(tmp_path, capsys):
+    cfg = parse_config("problem.name = black-scholes\nrun.seed = 1\n", apply_env=False)
+    model = build_run_model(cfg, 1)
+    path = str(tmp_path / "checkpoint.npz")
+    _save_model(path, cfg, model, 1, 0)
+    assert main(["evaluate", "--checkpoint", path]) == 0
+    rel = evaluate_model(model, config_problem(cfg))[0]
+    assert capsys.readouterr().out.split()[:2] == ["relative_l2", f"{rel:.8e}"]
+
+
+def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(cfg, verbose=False):
+        raise NumericalFailure("loss is nan at step 4")
+
+    monkeypatch.setattr(training, "train", fail)
+    cfg = _write_config(tmp_path, "")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_NUMERICAL
+    assert "numerical failure: loss is nan at step 4" in capsys.readouterr().err
+
+
+def test_errors_outside_the_input_propagate(tmp_path, monkeypatch):
+    def fail(cfg, verbose=False):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(training, "train", fail)
+    cfg = _write_config(tmp_path, "")
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["train", "--config", cfg, "--out", str(tmp_path / "runs")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--arch", "nope"],
+        ["reproduce", "--table", "nope"],
+        ["evaluate", "--checkpoint", "c.npz", "--problem", "hjb"],
+    ],
+)
+def test_bad_arguments_exit_2_before_any_output(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["grid", "--dim", "0", "--level", "2"], "dim must be >= 1"),
+        (["grid", "--dim", "2", "--level", "4"], "level 4 not supported"),
+        (["mzi-count", "--model", "missing.cfg"], "missing.cfg"),
+    ],
+)
+def test_input_errors_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err

@@ -96,9 +96,6 @@ def test_unsupported_level():
         rule_1d(4)
     with pytest.raises(UnsupportedLevelError):
         rule_1d(0)
-    r5 = rule_1d(5, extended=True)  # size study only
-    assert len(r5.nodes) == 9
-    assert set(rule_1d(4, extended=True).nodes) <= set(r5.nodes)
 
 
 @pytest.mark.parametrize("dim,expected", [(2, 13), (3, 25), (21, 925), (1, 5)])
