@@ -2,8 +2,9 @@
 
 Subcommands: train, evaluate, grid, oracle build, cost, mzi-count, reproduce,
 model inspect.  Exit codes: 0 success, 2 input error (bad arguments, a bad
-config, bad grid dimension or level, a missing file), 3 numerical failure.
-Any other exception propagates.
+config, bad grid dimension or level, a missing file, a gridded reference
+that `oracle build` never wrote), 3 numerical failure.  Any other exception
+propagates.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError
+from .pde.problems import OracleNotBuilt
 from .photonic.cost import ARCHITECTURES
 from .quadrature import QuadratureError
 from .reproduce import TABLE_IDS
@@ -69,7 +71,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, QuadratureError, FileNotFoundError) as exc:
+    except (ConfigError, QuadratureError, FileNotFoundError, OracleNotBuilt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,6 +9,7 @@ from .problems import (
     reference_solution,
     relative_l2,
     sample_batch,
+    step_inputs,
 )
 from .black_scholes import bs_exact
 from .hjb import hjb_exact, hjb_transform

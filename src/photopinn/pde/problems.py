@@ -34,7 +34,9 @@ __all__ = [
     "SamplingBudget",
     "PinnProblem",
     "OracleNotBuilt",
+    "StepInputs",
     "get_problem",
+    "step_inputs",
     "pinn_loss",
     "relative_l2",
     "reference_solution",
@@ -291,52 +293,73 @@ def sample_batch(problem: PinnProblem, seed: int, step: int = 0) -> dict[str, np
     return out
 
 
+@dataclass(frozen=True)
+class StepInputs:
+    """Everything a loss query at one (seed, step) needs besides the network.
+
+    `points` stacks the Stein evaluation points of the residual centers, then
+    of each data term's centers; `data` holds per data term its name, its
+    rows among the centers and its target values.
+    """
+
+    plan: SteinPlan
+    points: np.ndarray  # (centers * plan.n_queries, input_dim)
+    residual: np.ndarray  # residual centers, the first rows of the centers
+    data: tuple  # (term name, slice of the centers, target values)
+
+
+def step_inputs(problem: PinnProblem, stein_cfg: SteinConfig, batch_seed: int, step: int = 0) -> StepInputs:
+    """Batch, Stein plan, evaluation points and data targets of one step; keyed by (seed, step)."""
+    batch = sample_batch(problem, batch_seed, step)
+    plan = SteinPlan(stein_cfg, problem.input_dim, call_index=step)
+    data = []
+    pos = len(batch["residual"])
+    if "initial" in batch:
+        n = len(batch["initial"])
+        data.append(("initial", slice(pos, pos + n), problem.initial_target(batch["initial"])))
+        pos += n
+    if "boundary" in batch:
+        per_side = problem.budget.boundary
+        targets = np.concatenate(
+            [
+                side_target(batch["boundary"][i * per_side : (i + 1) * per_side])
+                for i, (_, _, side_target) in enumerate(problem.boundary_sides)
+            ]
+        )
+        data.append(("boundary", slice(pos, pos + len(targets)), targets))
+    centers = np.concatenate([batch[k] for k in ("residual", "initial", "boundary") if k in batch])
+    return StepInputs(plan, plan.eval_points(centers), batch["residual"], tuple(data))
+
+
 def pinn_loss(
     solution,
     problem: PinnProblem,
     stein_cfg: SteinConfig,
     batch_seed: int,
     step: int = 0,
+    inputs: StepInputs | None = None,
 ) -> tuple[float, dict[str, float]]:
     """Weighted smoothed-residual loss with per-term breakdown.
 
     `solution` is the (transformed) solution network mapping (B, input_dim)
     to (B,) values; all derivatives go through the smoothing estimators.
+    `inputs` are the step's inputs from `step_inputs`, built here when not
+    given; every query of a ZO step shares them.
     """
-    batch = sample_batch(problem, batch_seed, step)
-    plan = SteinPlan(stein_cfg, problem.input_dim, call_index=step)
+    if inputs is None:
+        inputs = step_inputs(problem, stein_cfg, batch_seed, step)
+    plan = inputs.plan
+    values = np.asarray(solution(inputs.points), dtype=float)
+    per_point = values.reshape(-1, plan.n_queries)
 
-    sections = [(k, batch[k]) for k in ("residual", "initial", "boundary") if k in batch]
-    all_pts = np.concatenate([pts for _, pts in sections])
-    values = np.asarray(solution(plan.eval_points(all_pts)), dtype=float)
-    per_point = values.reshape(len(all_pts), plan.n_queries)
-
-    offsets = {}
-    pos = 0
-    for key, pts in sections:
-        offsets[key] = slice(pos, pos + len(pts))
-        pos += len(pts)
-
-    res_slice = offsets["residual"]
-    res_pts = batch["residual"]
-    bundle = plan.combine(per_point[res_slice].reshape(-1), ("value", "first", "second"))
+    n_res = len(inputs.residual)
     # combine() expects the flat (P*n, ...) layout
-    r = problem.residual(bundle, res_pts)
+    bundle = plan.combine(per_point[:n_res].reshape(-1), ("value", "first", "second"))
+    r = problem.residual(bundle, inputs.residual)
     terms = {"residual": float(np.mean(r**2))}
-
-    if "initial" in offsets:
-        u0 = plan.combine(per_point[offsets["initial"]].reshape(-1), ("value",))["value"]
-        target = problem.initial_target(batch["initial"])
-        terms["initial"] = float(np.mean((u0 - target) ** 2))
-    if "boundary" in offsets:
-        ub = plan.combine(per_point[offsets["boundary"]].reshape(-1), ("value",))["value"]
-        targets = np.concatenate(
-            [
-                side_target(batch["boundary"][i * problem.budget.boundary : (i + 1) * problem.budget.boundary])
-                for i, (_, _, side_target) in enumerate(problem.boundary_sides)
-            ]
-        )
-        terms["boundary"] = float(np.mean((ub - targets) ** 2))
+    for name, rows, target in inputs.data:
+        u = plan.combine(per_point[rows].reshape(-1), ("value",))["value"]
+        terms[name] = float(np.mean((u - target) ** 2))
 
     total = (
         terms["residual"]

@@ -8,24 +8,32 @@ then multiplies by the matrix those cores reconstruct.  Biases stay digital.
 The model's flat vector theta (per layer: all phases, then that layer's bias)
 is the only store of phases and biases; it matches the weight models' segment
 interface so the same optimizer drives both domains.  Layers hold only static
-per-block data (block shapes and singular-value scales).  A forward maps the
-programmed phases to effective ones once, hands each layer its contiguous
-slice, and the layer realizes all of its blocks in one batched pass (meshes
-are applied stage by stage, see `mesh.mesh_matrices`).
+per-block data (block shapes and singular-value scales).  A layer realizes
+all of its blocks in one batched pass (meshes are applied stage by stage, see
+`mesh.mesh_matrices`) from its effective phases.
 
 Crosstalk adjacency: rotators that are neighbors within the same stage of the
 same mesh couple with the model's coefficient; attenuator phases and
-cross-mesh pairs do not couple.
+cross-mesh pairs do not couple.  Noise is therefore local to a layer:
+quantization and gain act per device and no crosstalk pair crosses a block,
+so a layer's effective phases depend on its own programmed phases only.
+
+A forward realizes a layer again only when that layer's programmed phases
+changed since the previous forward, as a chip reprograms only the phase
+shifters a probe touched; it then reuses the layer prefix of the previous
+call like `nets.TensorizedMlp` (see `nets.PrefixCache`), a layer counting as
+changed when its phases or its bias did.  Both checks compare values against
+copies, so writing into the flat vector in place is seen.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nets import _ACTIVATIONS
+from ..nets import _ACTIVATIONS, PrefixCache
 from ..tensortrain import TTCores, TTLayout, tt_forward
 from .mesh import stage_neighbors
-from .noise import NoiseModel, apply_nonidealities
+from .noise import FrozenNoise, NoiseModel, apply_nonidealities
 from .svd import block_phase_count, svd_matrices
 
 __all__ = ["PhotonicDense", "PhotonicTT", "PhotonicMlp", "DENSE_BLOCK_SIZE", "random_phases"]
@@ -135,8 +143,11 @@ class PhotonicMlp:
                 raise ValueError(f"expected phases of shape {layer.phase_shape}, got {np.shape(ph)}")
         self._theta = np.zeros(self._dim)
         self._theta[self._phase_index] = np.concatenate([np.ravel(ph) for ph in phases])
-        self._frozen = self.noise.freeze(self.n_phases)
-        self._pairs = self._crosstalk_pairs()
+        frozen = self.noise.freeze(self.n_phases)
+        self._frozen = [FrozenNoise(frozen.gain[sl], frozen.bias[sl]) for sl in self._phase_slices]
+        self._pairs = [_layer_pairs(layer) for layer in layers]
+        self._realized = [None] * len(layers)  # per layer: weight matrix or TT cores
+        self._cache = PrefixCache()
 
     # -- flat store: per layer, all phases then the bias --------------------
 
@@ -176,35 +187,63 @@ class PhotonicMlp:
     def phase_vector(self) -> np.ndarray:
         return self._theta[self._phase_index]
 
-    def _crosstalk_pairs(self) -> np.ndarray:
-        pairs = [np.empty((0, 2), dtype=np.intp)]
-        pos = 0
-        for layer in self.layers:
-            for m, n in layer.block_shapes:
-                pairs.append(_block_neighbors(m, n) + pos)
-                pos += block_phase_count(m, n)
-        return np.concatenate(pairs)
+    def _effective(self, k: int) -> np.ndarray:
+        """Effective phases of layer k, from its programmed phases alone."""
+        _, start, stop = self._segments[2 * k]
+        return apply_nonidealities(self._theta[start:stop], self.noise, self._pairs[k], self._frozen[k])
 
     def effective_phases(self) -> np.ndarray:
-        return apply_nonidealities(self.phase_vector(), self.noise, self._pairs, self._frozen)
+        return np.concatenate([self._effective(k) for k in range(len(self.layers))])
+
+    def _first_changed(self) -> int:
+        """Realize every layer whose phases changed; the first layer whose phases or bias changed."""
+        first = len(self.layers)
+        for k, layer in enumerate(self.layers):
+            _, start, stop = self._segments[2 * k]
+            phases_changed = self._cache.changed((k, "phases"), self._theta[start:stop])
+            if phases_changed:
+                phases = self._effective(k).reshape(layer.phase_shape)
+                if isinstance(layer, PhotonicTT):
+                    self._realized[k] = layer.realized_cores(phases)
+                else:
+                    self._realized[k] = layer.realized_weight(phases)
+            if self._cache.changed((k, "bias"), self._theta[self._bias_slices[k]]) or phases_changed:
+                first = min(first, k)
+        return first
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        eff = self.effective_phases()
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        h = (np.atleast_2d(x) - self.input_shift) * self.input_scale
         act = _ACTIVATIONS[self.activation]
-        for k, layer in enumerate(self.layers):
-            phases = eff[self._phase_slices[k]].reshape(layer.phase_shape)
-            if isinstance(layer, PhotonicTT):
-                h = tt_forward(layer.realized_cores(phases), h)
+        last = len(self.layers) - 1
+
+        def embed(rows):
+            return (rows - self.input_shift) * self.input_scale
+
+        def layer(k, h):
+            if isinstance(self.layers[k], PhotonicTT):
+                h = tt_forward(self._realized[k], h)
             else:
-                h = h @ layer.realized_weight(phases).T
-            h = h + self._theta[self._bias_slices[k]]
-            if k < len(self.layers) - 1:
+                h = h @ self._realized[k].T
+            h += self._theta[self._bias_slices[k]]
+            if k < last:
                 act(h, out=h)
+            return h
+
+        first = self._first_changed()
+        h = self._cache.forward(np.atleast_2d(x), first, len(self.layers), embed, layer)
         if self.output_scale != 1.0:
             h = h * self.output_scale
         if h.shape[1] == 1:
             h = h[:, 0]
         return h[0] if single else h
+
+
+def _layer_pairs(layer) -> np.ndarray:
+    """Crosstalk pairs of one layer, as indices into its phases."""
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    pos = 0
+    for m, n in layer.block_shapes:
+        pairs.append(_block_neighbors(m, n) + pos)
+        pos += block_phase_count(m, n)
+    return np.concatenate(pairs)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config, serialize_config
 from .models import Architecture, architecture, build_model, build_phase_model
-from .pde import get_problem, pinn_loss, reference_solution, relative_l2
+from .pde import get_problem, pinn_loss, reference_solution, relative_l2, step_inputs
 from .pde.problems import LossWeights, PinnProblem, SamplingBudget
 from .photonic.noise import NoiseModel
 from .quadrature import SteinConfig
@@ -32,6 +32,7 @@ __all__ = [
     "RunReport",
     "build_run_model",
     "config_architecture",
+    "step_loss",
     "load_model",
     "NumericalFailure",
 ]
@@ -140,6 +141,22 @@ def evaluate_model(model, problem: PinnProblem, max_points: int | None = None):
     return relative_l2(pred, ref), pts, pred, ref
 
 
+def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: int):
+    """The training loss of one ZO step as a function of theta.
+
+    The step's batch, Stein plan and evaluation points are built once and
+    shared by every query; each query is one `pinn_loss` call.
+    """
+    inputs = step_inputs(problem, stein, seed, step)
+
+    def loss(theta):
+        model.set_flat(theta)
+        value, _ = pinn_loss(problem.transform(model), problem, stein, seed, step, inputs)
+        return value
+
+    return loss
+
+
 def _config_hash(cfg: RunConfig) -> str:
     return hashlib.md5(serialize_config(cfg).encode()).hexdigest()[:12]
 
@@ -180,17 +197,9 @@ def _train_one_seed(cfg: RunConfig, seed: int, verbose: bool) -> SeedResult:
     steps_run = 0
     stopped_early = False
 
-    def loss_at(step):
-        def fn(th):
-            model.set_flat(th)
-            solution = problem.transform(model)
-            value, _ = pinn_loss(solution, problem, batch_seed=seed, step=step, stein_cfg=stein)
-            return value
-        return fn
-
     try:
         for step in range(cfg.opt_iterations):
-            fn = loss_at(step)
+            fn = step_loss(model, problem, stein, seed, step)
             grad, q = rge_estimate(fn, theta, view, zo_cfg, step=step)
             queries += q
             if cfg.opt_algorithm == "adam":

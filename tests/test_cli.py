@@ -109,6 +109,16 @@ def test_evaluate_takes_the_problem_from_the_checkpoint(tmp_path, capsys):
     assert capsys.readouterr().out.split()[:2] == ["relative_l2", f"{rel:.8e}"]
 
 
+@pytest.mark.parametrize("problem", ["burgers", "darcy"])
+def test_evaluate_without_a_gridded_reference_exits_2(problem, tmp_path, capsys):
+    cfg = parse_config(f"problem.name = {problem}\n", apply_env=False)
+    path = str(tmp_path / "checkpoint.npz")
+    _save_model(path, cfg, build_run_model(cfg, 0), 0, 0)
+    assert main(["evaluate", "--checkpoint", path, "--oracle-dir", str(tmp_path / "nowhere")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"reference for '{problem}' is not available" in err
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     def fail(cfg, verbose=False):
         raise NumericalFailure("loss is nan at step 4")

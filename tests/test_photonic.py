@@ -204,28 +204,6 @@ def test_checkpoint_round_trip(domain, dtype, tmp_path, rng):
     assert np.array_equal(loaded(x), model(x))
 
 
-def test_phase_training_reruns_identically(tmp_path):
-    def run(out):
-        cfg = RunConfig(
-            problem_name="black-scholes",
-            domain="phase",
-            problem_residual_points=4,
-            problem_initial_points=2,
-            problem_boundary_points=2,
-            opt_iterations=2,
-            run_log_every=1,
-            run_eval_every=0,
-            run_out_dir=str(tmp_path / out),
-        )
-        train(cfg)
-        lines = (tmp_path / out / "black-scholes" / "seed0" / "metrics.csv").read_text().splitlines()
-        return [line.rsplit(",", 1)[0] for line in lines]  # drop wall_time
-
-    first = run("a")
-    assert len(first) == 4  # header, two logged steps, final
-    assert first == run("b")
-
-
 _WIDTHS_THAT_MISS_THE_FOLD = [("black-scholes", 64), ("hjb", 256), ("burgers", 50), ("darcy", 64)]
 
 
