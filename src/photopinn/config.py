@@ -1,10 +1,11 @@
 """Run configuration: flat dotted-key text files with environment overrides.
 
-File format: one `key = value` per line, '#' comments.  Every key maps to one
-field of `RunConfig`; unknown keys are an error.  Environment variables named
-PHOTOPINN_<KEY> (dots replaced by double underscores, upper-cased, e.g.
-PHOTOPINN_ZO__QUERIES) override file values; explicit function arguments
-override both.
+File format: one `key = value` per line; a line whose first non-blank
+character is '#' is a comment, and a '#' anywhere else belongs to the value.
+Every key maps to one field of `RunConfig`; unknown keys are an error.
+Environment variables named PHOTOPINN_<KEY> (dots replaced by double
+underscores, upper-cased, e.g. PHOTOPINN_ZO__QUERIES) override file values;
+explicit function arguments override both.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def _format_value(value) -> str:
 def parse_config(text: str, apply_env: bool = True) -> RunConfig:
     values = {}
     for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {line!r}")

@@ -28,6 +28,8 @@ copies, so writing into the flat vector in place is seen.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..nets import _ACTIVATIONS, PrefixCache
@@ -240,10 +242,16 @@ class PhotonicMlp:
 
 
 def _layer_pairs(layer) -> np.ndarray:
-    """Crosstalk pairs of one layer, as indices into its phases."""
+    """Crosstalk pairs of one layer, as indices into its phases, block by block.
+
+    Each run of equal block shapes computes its neighbors once and offsets
+    them by every block's start at once.
+    """
     pairs = [np.empty((0, 2), dtype=np.intp)]
     pos = 0
-    for m, n in layer.block_shapes:
-        pairs.append(_block_neighbors(m, n) + pos)
-        pos += block_phase_count(m, n)
+    for (m, n), run in itertools.groupby(layer.block_shapes):
+        size, count = block_phase_count(m, n), len(list(run))
+        starts = pos + size * np.arange(count)
+        pairs.append((_block_neighbors(m, n) + starts[:, None, None]).reshape(-1, 2))
+        pos += size * count
     return np.concatenate(pairs)

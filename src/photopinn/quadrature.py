@@ -29,9 +29,12 @@ merged grid has exactly 2*D^2 + 2*D + 1 nodes.
 
 The smoothed-model estimators evaluate a network f at x + sigma*z over the
 grid (or over antithetic Monte-Carlo pairs) and combine the values into the
-smoothed forward value, its gradient, the diagonal of its Hessian, and its
-Laplacian.  The node set is symmetric, so f(x - sigma*z_j) reuses the
-evaluation at the negated node: one model query per node.
+smoothed forward value, its gradient and the diagonal of its Hessian.  The
+node set is symmetric, so f(x - sigma*z_j) reuses the evaluation at the
+negated node.  Only nodes whose values enter a sum are queried: the weighted
+nodes, their negations and the center.  At level 3 the 2*D axis nodes +-B*e_i
+carry weight 0, so 2*D^2 + 1 of the grid's nodes are queried (9 of 13 at
+D = 2); `SteinPlan` documents the rule.
 """
 
 from __future__ import annotations
@@ -54,11 +57,6 @@ __all__ = [
     "build_sparse_grid",
     "sparse_integrate",
     "save_grid",
-    "load_grid",
-    "smoothed_forward",
-    "stein_first",
-    "stein_second_diag",
-    "stein_laplacian",
     "SteinPlan",
 ]
 
@@ -225,29 +223,6 @@ def save_grid(grid: SparseGrid, path) -> None:
             fh.write(" ".join(f"{v:.17g}" for v in node) + f" {w:.17g}\n")
 
 
-def load_grid(path) -> SparseGrid:
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2:
-                    meta[parts[0]] = int(parts[1])
-                continue
-            rows.append([float(v) for v in line.split()])
-    data = np.array(rows)
-    dim = meta.get("dim", data.shape[1] - 1)
-    level = meta.get("level", 0)
-    grid = SparseGrid(dim=dim, level=level, nodes=data[:, :-1], weights=data[:, -1])
-    if "count" in meta and meta["count"] != len(grid):
-        raise QuadratureError(f"grid file count {meta['count']} != {len(grid)} rows")
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # Smoothed-model derivative estimators
 # ---------------------------------------------------------------------------
@@ -284,14 +259,22 @@ class SteinConfig:
 class SteinPlan:
     """Precomputed offsets and combination weights for one estimator call.
 
-    ``offsets`` has shape (n, dim) and always contains exactly one zero row;
-    ``pair[j]`` indexes the row holding the negated offset.  A single batch of
-    model evaluations at x + offsets yields every estimator:
+    ``offsets`` has shape (n, dim), the full node layout: the merged grid
+    scaled by sigma, or the Monte-Carlo pairs then one zero row.  It always
+    contains exactly one zero row, ``center``; ``pair[j]`` indexes the row
+    holding the negated offset.  With f_j = f(x + offset_j):
 
         u(x)      = sum_j w_j * (f_j + f_pair(j)) / 2
         du_i(x)   = sum_j w_j * offset_ji / (2 sigma^2) * (f_j - f_pair(j))
         d2u_ii(x) = sum_j w_j * (offset_ji^2 - sigma^2) / (2 sigma^4) * (f_j + f_pair(j) - 2 f_0)
-        lap u(x)  = sum_j w_j * (|offset_j|^2 - sigma^2 D) / (2 sigma^4) * (f_j + f_pair(j) - 2 f_0)
+
+    A node's value enters these sums only if its weight is nonzero, it is the
+    pair of such a node, or it is the center.  Only those nodes (``queried``,
+    in layout order) are evaluated: 9 of 13 at D = 2 for the level-3 grid,
+    whose outer abscissae carry weight 0.  ``combine`` scatters the queried
+    values into a zero-filled array of the full layout and runs the sums over
+    all n nodes in layout order, so for the same node values every bit of the
+    result equals the sums over a forward of every node.
     """
 
     def __init__(self, cfg: SteinConfig, dim: int, call_index: int = 0):
@@ -316,10 +299,12 @@ class SteinPlan:
         if len(center) != 1:
             raise QuadratureError("plan requires exactly one zero offset")
         self.center = int(center[0])
+        keep = (weights != 0.0) | (weights[self.pair] != 0.0)
+        keep[self.center] = True
+        self.queried = np.flatnonzero(keep)
         # combination coefficient tables
         self.c_first = weights[:, None] * offsets / (2.0 * sigma**2)
         self.c_second = weights[:, None] * (offsets**2 - sigma**2) / (2.0 * sigma**4)
-        self.c_lap = weights * (np.sum(offsets**2, axis=1) - sigma**2 * dim) / (2.0 * sigma**4)
 
     @staticmethod
     def _pair_index(offsets: np.ndarray) -> np.ndarray:
@@ -335,24 +320,25 @@ class SteinPlan:
 
     @property
     def n_queries(self) -> int:
-        return len(self.weights)
+        """Model evaluations per center: the queried nodes."""
+        return len(self.queried)
 
     def eval_points(self, x: np.ndarray) -> np.ndarray:
-        """All evaluation points for a (P, dim) batch of centers: shape (P*n, dim)."""
+        """Queried evaluation points for a (P, dim) batch of centers: shape (P*n_queries, dim)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (x[:, None, :] + self.offsets[None, :, :]).reshape(-1, self.dim)
+        return (x[:, None, :] + self.offsets[None, self.queried, :]).reshape(-1, self.dim)
 
     def combine(self, values: np.ndarray, which: Sequence[str]) -> dict[str, np.ndarray]:
         """Combine model outputs at eval_points into the requested estimators.
 
-        ``values`` has shape (P*n, ...) matching eval_points; returns arrays with
-        leading axis P ('value', 'first' adds a dim axis, 'second' adds a dim
-        axis, 'laplacian' is scalar per point).
+        ``values`` has shape (P*n_queries, ...) matching eval_points; returns
+        arrays with leading axis P ('first' and 'second' add a dim axis).
         """
-        n = self.n_queries
         vals = np.asarray(values, dtype=float)
         extra = vals.shape[1:]
-        v = vals.reshape(-1, n, *extra)
+        queried = vals.reshape(-1, self.n_queries, *extra)
+        v = np.zeros((len(queried), len(self.weights), *extra))
+        v[:, self.queried] = queried
         v_neg = v[:, self.pair]
         out: dict[str, np.ndarray] = {}
         if "value" in which:
@@ -360,42 +346,7 @@ class SteinPlan:
         if "first" in which:
             # (P, n, ...) x (n, D) -> (P, D, ...)
             out["first"] = np.einsum("pn...,nd->pd...", v - v_neg, self.c_first)
-        if "second" in which or "laplacian" in which:
+        if "second" in which:
             centered = v + v_neg - 2.0 * v[:, self.center : self.center + 1]
-            if "second" in which:
-                out["second"] = np.einsum("pn...,nd->pd...", centered, self.c_second)
-            if "laplacian" in which:
-                out["laplacian"] = np.tensordot(centered, self.c_lap, axes=(1, 0))
+            out["second"] = np.einsum("pn...,nd->pd...", centered, self.c_second)
         return out
-
-
-def _run(net, x, cfg, which, call_index):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    plan = SteinPlan(cfg, pts.shape[1], call_index)
-    values = np.asarray(net(plan.eval_points(pts)), dtype=float)
-    out = plan.combine(values, which)
-    if single:
-        out = {k: v[0] for k, v in out.items()}
-    return out
-
-
-def smoothed_forward(net, x, cfg: SteinConfig, call_index: int = 0) -> np.ndarray:
-    """E[f(x + delta)] under delta ~ N(0, sigma^2 I), by grid sum or MC average."""
-    return _run(net, x, cfg, ("value",), call_index)["value"]
-
-
-def stein_first(net, x, cfg: SteinConfig, call_index: int = 0) -> np.ndarray:
-    """Gradient of the smoothed model at x (shape (dim,) for scalar nets)."""
-    return _run(net, x, cfg, ("first",), call_index)["first"]
-
-
-def stein_second_diag(net, x, cfg: SteinConfig, call_index: int = 0) -> np.ndarray:
-    """Per-coordinate second derivatives of the smoothed model at x."""
-    return _run(net, x, cfg, ("second",), call_index)["second"]
-
-
-def stein_laplacian(net, x, cfg: SteinConfig, call_index: int = 0) -> np.ndarray:
-    """Laplacian of the smoothed model at x; equals the sum of the diagonal estimator."""
-    return _run(net, x, cfg, ("laplacian",), call_index)["laplacian"]

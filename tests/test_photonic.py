@@ -26,6 +26,7 @@ from photopinn.photonic import (
     stage_neighbors,
     svd_matrices,
 )
+from photopinn.photonic.model import _layer_pairs
 from photopinn.tensortrain import TTLayout, tt_reconstruct
 from photopinn.training import _save_model, build_run_model, load_model, train
 
@@ -231,3 +232,22 @@ def test_phase_domain_rejects_other_dtypes():
     with pytest.raises(ConfigError, match="dtype"):
         RunConfig(domain="phase", model_dtype="float32")
     assert RunConfig(domain="weight", model_dtype="float32").model_dtype == "float32"
+
+
+def reference_layer_pairs(layer):
+    """The per-block loop: each block's stage neighbors in U, then in V, offset by the block's start."""
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    pos = 0
+    for m, n in layer.block_shapes:
+        v_offset = m * (m - 1) // 2 + min(m, n)
+        pairs.append(np.concatenate([stage_neighbors(m), stage_neighbors(n) + v_offset]) + pos)
+        pos += block_phase_count(m, n)
+    return np.concatenate(pairs)
+
+
+@pytest.mark.parametrize("tensorized", [True, False], ids=["tt", "dense"])
+@pytest.mark.parametrize("problem", ["black-scholes", "hjb", "burgers", "darcy"])
+def test_layer_pairs_equal_the_per_block_loop(problem, tensorized):
+    model = build_run_model(RunConfig(problem_name=problem, domain="phase", model_tensorized=tensorized), 0)
+    for layer in model.layers:
+        assert np.array_equal(_layer_pairs(layer), reference_layer_pairs(layer))
