@@ -349,17 +349,15 @@ def pinn_loss(
     if inputs is None:
         inputs = step_inputs(problem, stein_cfg, batch_seed, step)
     plan = inputs.plan
-    values = np.asarray(solution(inputs.points), dtype=float)
-    per_point = values.reshape(-1, plan.n_queries)
+    values = np.asarray(solution(inputs.points), dtype=float).reshape(-1)  # the (P*n,) layout combine() expects
 
-    n_res = len(inputs.residual)
-    # combine() expects the flat (P*n, ...) layout
-    bundle = plan.combine(per_point[:n_res].reshape(-1), ("value", "first", "second"))
+    parts = [(slice(0, len(inputs.residual)), ("value", "first", "second"))]
+    parts += [(rows, ("value",)) for _, rows, _ in inputs.data]
+    bundle, *data = plan.combine(values, parts)
     r = problem.residual(bundle, inputs.residual)
     terms = {"residual": float(np.mean(r**2))}
-    for name, rows, target in inputs.data:
-        u = plan.combine(per_point[rows].reshape(-1), ("value",))["value"]
-        terms[name] = float(np.mean((u - target) ** 2))
+    for (name, _, target), u in zip(inputs.data, data):
+        terms[name] = float(np.mean((u["value"] - target) ** 2))
 
     total = (
         terms["residual"]

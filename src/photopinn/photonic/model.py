@@ -2,8 +2,10 @@
 
 Dense layers become ceil(M/k) x ceil(N/k) grids of k x k SVD blocks (k = 8);
 tensor-train layers realize each core unfolding (r_k-1 * m_k) x (n_k * r_k)
-as one rectangular SVD block, reshaped back into the 4-way core; `tt_forward`
-then multiplies by the matrix those cores reconstruct.  Biases stay digital.
+as one rectangular SVD block, reshaped back into the 4-way core, and
+reconstruct the matrix those cores represent once, when realized.  Either
+way a realized layer is one (out, in) matrix, which every row block of a
+forward multiplies by (see `nets.PrefixCache`).  Biases stay digital.
 
 The model's flat vector theta (per layer: all phases, then that layer's bias)
 is the only store of phases and biases; it matches the weight models' segment
@@ -22,8 +24,11 @@ A forward realizes a layer again only when that layer's programmed phases
 changed since the previous forward, as a chip reprograms only the phase
 shifters a probe touched; it then reuses the layer prefix of the previous
 call like `nets.TensorizedMlp` (see `nets.PrefixCache`), a layer counting as
-changed when its phases or its bias did.  Both checks compare values against
-copies, so writing into the flat vector in place is seen.
+changed when its phases or its bias did.  Each layer also keeps its last
+`REALIZED_KEEP` realized (phases, matrix) states, so phases that return to
+a recent state, as a layer's base phases do after its own +/- probes, are
+not realized again.  All these checks compare values against copies, so
+writing into the flat vector in place is seen.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ import itertools
 
 import numpy as np
 
-from ..nets import _ACTIVATIONS, PrefixCache
-from ..tensortrain import TTCores, TTLayout, tt_forward
+from ..nets import _ACTIVATIONS, PrefixCache, _normalize_into, _same_bits
+from ..tensortrain import TTCores, TTLayout, tt_forward, tt_reconstruct
 from .mesh import stage_neighbors
 from .noise import FrozenNoise, NoiseModel, apply_nonidealities
 from .svd import block_phase_count, svd_matrices
@@ -41,6 +46,10 @@ from .svd import block_phase_count, svd_matrices
 __all__ = ["PhotonicDense", "PhotonicTT", "PhotonicMlp", "DENSE_BLOCK_SIZE", "random_phases"]
 
 DENSE_BLOCK_SIZE = 8
+
+# Realized states kept per layer: its base phases and one +/- probe pair.
+REALIZED_KEEP = 3
+
 
 def _block_neighbors(m: int, n: int) -> np.ndarray:
     """Stage-adjacent rotator pairs of one m x n block, as indices into its phases."""
@@ -148,7 +157,8 @@ class PhotonicMlp:
         frozen = self.noise.freeze(self.n_phases)
         self._frozen = [FrozenNoise(frozen.gain[sl], frozen.bias[sl]) for sl in self._phase_slices]
         self._pairs = [_layer_pairs(layer) for layer in layers]
-        self._realized = [None] * len(layers)  # per layer: weight matrix or TT cores
+        self._realized = [None] * len(layers)  # per layer: (TT cores or None, (out, in) matrix)
+        self._recent = [[] for _ in layers]  # per layer: recent (programmed phases, realized), oldest first
         self._cache = PrefixCache()
 
     # -- flat store: per layer, all phases then the bias --------------------
@@ -197,18 +207,34 @@ class PhotonicMlp:
     def effective_phases(self) -> np.ndarray:
         return np.concatenate([self._effective(k) for k in range(len(self.layers))])
 
+    def _realize(self, k: int):
+        """Layer k at its programmed phases: a recent state equal by value, else realized anew."""
+        _, start, stop = self._segments[2 * k]
+        phases = self._theta[start:stop]
+        recent = self._recent[k]
+        for i, (seen, realized) in enumerate(recent):
+            if _same_bits(seen, phases):
+                recent.append(recent.pop(i))
+                return realized
+        layer = self.layers[k]
+        effective = self._effective(k).reshape(layer.phase_shape)
+        if isinstance(layer, PhotonicTT):
+            cores = layer.realized_cores(effective)
+            realized = (cores, tt_reconstruct(cores))
+        else:
+            realized = (None, layer.realized_weight(effective))
+        recent.append((phases.copy(), realized))
+        del recent[:-REALIZED_KEEP]
+        return realized
+
     def _first_changed(self) -> int:
         """Realize every layer whose phases changed; the first layer whose phases or bias changed."""
         first = len(self.layers)
-        for k, layer in enumerate(self.layers):
+        for k in range(len(self.layers)):
             _, start, stop = self._segments[2 * k]
             phases_changed = self._cache.changed((k, "phases"), self._theta[start:stop])
             if phases_changed:
-                phases = self._effective(k).reshape(layer.phase_shape)
-                if isinstance(layer, PhotonicTT):
-                    self._realized[k] = layer.realized_cores(phases)
-                else:
-                    self._realized[k] = layer.realized_weight(phases)
+                self._realized[k] = self._realize(k)
             if self._cache.changed((k, "bias"), self._theta[self._bias_slices[k]]) or phases_changed:
                 first = min(first, k)
         return first
@@ -219,21 +245,22 @@ class PhotonicMlp:
         act = _ACTIVATIONS[self.activation]
         last = len(self.layers) - 1
 
-        def embed(rows):
-            return (rows - self.input_shift) * self.input_scale
+        def embed(rows, out):
+            _normalize_into(rows, self.input_shift, self.input_scale, out)
 
-        def layer(k, h):
-            if isinstance(self.layers[k], PhotonicTT):
-                h = tt_forward(self._realized[k], h)
+        def layer(k, h, out):
+            cores, matrix = self._realized[k]
+            if cores is None:
+                np.matmul(h, matrix.T, out=out)
             else:
-                h = h @ self._realized[k].T
-            h += self._theta[self._bias_slices[k]]
+                tt_forward(cores, h, out=out, matrix=matrix)
+            out += self._theta[self._bias_slices[k]]
             if k < last:
-                act(h, out=h)
-            return h
+                act(out, out=out)
 
         first = self._first_changed()
-        h = self._cache.forward(np.atleast_2d(x), first, len(self.layers), embed, layer)
+        widths = [self.layers[0].n_in] + [lay.n_out for lay in self.layers]
+        h = self._cache.forward(np.atleast_2d(x), first, widths, embed, layer)
         if self.output_scale != 1.0:
             h = h * self.output_scale
         if h.shape[1] == 1:

@@ -328,25 +328,36 @@ class SteinPlan:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return (x[:, None, :] + self.offsets[None, self.queried, :]).reshape(-1, self.dim)
 
-    def combine(self, values: np.ndarray, which: Sequence[str]) -> dict[str, np.ndarray]:
+    def combine(self, values: np.ndarray, parts: Sequence[tuple[slice, Sequence[str]]]) -> list[dict[str, np.ndarray]]:
         """Combine model outputs at eval_points into the requested estimators.
 
-        ``values`` has shape (P*n_queries, ...) matching eval_points; returns
-        arrays with leading axis P ('first' and 'second' add a dim axis).
+        ``values`` has shape (P*n_queries, ...) matching eval_points.
+        ``parts`` is a sequence of (rows, which): a slice of the P centers
+        and the estimators wanted on them ('value', 'first', 'second').  The
+        full-layout scatter and its pair gather are built once for all
+        parts; each part's sums run on its rows alone, so a part's result
+        equals a call on its rows' values alone, bit for bit.  Returns one
+        dict per part, arrays with a leading axis over its rows ('first' and
+        'second' add a dim axis).
         """
         vals = np.asarray(values, dtype=float)
         extra = vals.shape[1:]
         queried = vals.reshape(-1, self.n_queries, *extra)
-        v = np.zeros((len(queried), len(self.weights), *extra))
-        v[:, self.queried] = queried
-        v_neg = v[:, self.pair]
-        out: dict[str, np.ndarray] = {}
-        if "value" in which:
-            out["value"] = 0.5 * np.tensordot(v + v_neg, self.weights, axes=(1, 0))
-        if "first" in which:
-            # (P, n, ...) x (n, D) -> (P, D, ...)
-            out["first"] = np.einsum("pn...,nd->pd...", v - v_neg, self.c_first)
-        if "second" in which:
-            centered = v + v_neg - 2.0 * v[:, self.center : self.center + 1]
-            out["second"] = np.einsum("pn...,nd->pd...", centered, self.c_second)
+        v_all = np.zeros((len(queried), len(self.weights), *extra))
+        v_all[:, self.queried] = queried
+        v_neg_all = v_all[:, self.pair]
+        out = []
+        for rows, which in parts:
+            v, v_neg = v_all[rows], v_neg_all[rows]
+            both = v + v_neg
+            got: dict[str, np.ndarray] = {}
+            if "value" in which:
+                got["value"] = 0.5 * np.tensordot(both, self.weights, axes=(1, 0))
+            if "first" in which:
+                # (P, n, ...) x (n, D) -> (P, D, ...)
+                got["first"] = np.einsum("pn...,nd->pd...", v - v_neg, self.c_first)
+            if "second" in which:
+                centered = both - 2.0 * v[:, self.center : self.center + 1]
+                got["second"] = np.einsum("pn...,nd->pd...", centered, self.c_second)
+            out.append(got)
         return out

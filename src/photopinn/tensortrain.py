@@ -13,6 +13,11 @@ multiplies an input batch by it.  Reconstruction costs O(M N) and does not
 depend on the batch, so one GEMM per layer is cheaper than contracting the
 batch against each core in turn.  The compression (parameter and device
 counts) lives in the cores, not in the order of the CPU contraction.
+
+A network reconstructs each TT layer once per change of its cores, not once
+per forward: `nets.TensorizedMlp` when its prefix cache reports a changed
+core, `photonic.model.PhotonicMlp` when it realizes the layer from new
+phases.  It then passes the matrix to `tt_forward` for every row block.
 """
 
 from __future__ import annotations
@@ -130,12 +135,20 @@ def tt_reconstruct(cores: TTCores, cap: int = RECONSTRUCT_CAP) -> np.ndarray:
     return t.reshape(lay.rows, lay.cols)
 
 
-def tt_forward(cores: TTCores, x: np.ndarray) -> np.ndarray:
-    """Compute W @ x (or batched x of shape (B, N) -> (B, M)) through the reconstructed W."""
+def tt_forward(
+    cores: TTCores, x: np.ndarray, out: np.ndarray | None = None, matrix: np.ndarray | None = None
+) -> np.ndarray:
+    """Compute W @ x (or batched x of shape (B, N) -> (B, M)) through the reconstructed W.
+
+    `matrix` is `tt_reconstruct(cores)` when the caller already holds it;
+    the product goes into `out` when given.
+    """
     x = np.asarray(x)
     if x.shape[-1] != cores.layout.cols:
         raise ValueError(f"input length {x.shape[-1]} != layout cols {cores.layout.cols}")
-    return x @ tt_reconstruct(cores).T
+    if matrix is None:
+        matrix = tt_reconstruct(cores)
+    return np.matmul(x, matrix.T, out=out)
 
 
 def tt_init(layout: TTLayout, seed: int) -> TTCores:

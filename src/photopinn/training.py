@@ -3,8 +3,10 @@ zeroth-order loop, logs metric rows, and writes checkpoints.
 
 One call to `train` executes every seed in the config sequentially and
 reports mean and std of the final hold-out error.  Per-seed outputs land in
-`<out_dir>/<name>/seed<k>/`: metrics.csv (step, loss, rel_l2, queries,
-wall_time), checkpoint.npz, report.txt.  All stochastic streams are keyed by
+`<out_dir>/<name>/seed<k>/`: metrics.csv (step, loss, rel_l2, zo_queries,
+wall_time), checkpoint.npz, report.txt.  `zo_queries` counts the loss queries
+of the ZO gradient estimates (2 x groups x probes per step); the query that
+logs a row's loss is not among them.  All stochastic streams are keyed by
 (seed, step, ...) so reruns reproduce every column except wall_time.
 """
 
@@ -51,7 +53,7 @@ class SeedResult:
     seed: int
     steps_run: int
     final_rel_l2: float
-    queries: int
+    queries: int  # ZO loss queries, as in metrics.csv's zo_queries
     wall_time: float
     out_dir: str
 
@@ -78,7 +80,7 @@ class RunReport:
         for r in self.results:
             lines.append(
                 f"seed {r.seed}: rel_l2 {r.final_rel_l2:.6e} after {r.steps_run} steps, "
-                f"{r.queries} loss queries, {r.wall_time:.1f} s"
+                f"{r.queries} ZO loss queries, {r.wall_time:.1f} s"
             )
         lines.append(f"mean rel_l2 {self.mean_rel_l2:.6e} +- {self.std_rel_l2:.2e}")
         return "\n".join(lines)
@@ -192,7 +194,7 @@ def _train_one_seed(cfg: RunConfig, seed: int, verbose: bool) -> SeedResult:
     queries = 0
     rel = float("nan")
     can_eval = problem.reference is not None
-    rows = [("step", "loss", "rel_l2", "queries", "wall_time")]
+    rows = [("step", "loss", "rel_l2", "zo_queries", "wall_time")]
     t0 = time.perf_counter()
     steps_run = 0
     stopped_early = False
@@ -243,7 +245,7 @@ def _train_one_seed(cfg: RunConfig, seed: int, verbose: bool) -> SeedResult:
         "steps_run": steps_run,
         "stopped_early": stopped_early,
         "final_rel_l2": rel,
-        "queries": queries,
+        "zo_queries": queries,
         "wall_time": wall,
     }
     (out_dir / "report.txt").write_text(json.dumps(meta, indent=2) + "\n")

@@ -1,0 +1,128 @@
+"""The blocked forward against a single-GEMM oracle, and its memory bound.
+
+Forwards run in blocks of `BLOCK_ROWS` rows.  The oracle below multiplies
+all rows by each layer's whole matrix at once, as the unblocked forward did;
+the blocked forward must equal it bit for bit on either side of every block
+edge, on a one-off call and on a call that restarts from kept activations.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from photopinn.config import RunConfig
+from photopinn.models import build_model
+from photopinn.nets import BLOCK_ROWS, TTLayer
+from photopinn.photonic import PhotonicTT
+from photopinn.pde import get_problem
+from photopinn.tensortrain import tt_reconstruct
+from photopinn.training import build_run_model
+
+B = BLOCK_ROWS
+ROWS = [1, B - 1, B, B + 1, 2 * B + 146]
+_ACT = {"tanh": np.tanh, "sine": np.sin}
+
+
+def _weight_layers(model):
+    """Per layer: (matrix, bias) of a weight-domain model."""
+    return [
+        (tt_reconstruct(lay.cores) if isinstance(lay, TTLayer) else lay.weight, lay.bias) for lay in model.layers
+    ]
+
+
+def _phase_layers(model):
+    """Per layer: (matrix, bias) of a phase-domain model, realized from its effective phases."""
+    effective = model.effective_phases()
+    theta = model.get_flat()
+    spans = dict((name, (start, stop)) for name, start, stop in model.segments())
+    out, pos = [], 0
+    for k, lay in enumerate(model.layers):
+        size = int(np.prod(lay.phase_shape))
+        phases = effective[pos : pos + size].reshape(lay.phase_shape)
+        pos += size
+        if isinstance(lay, PhotonicTT):
+            matrix = tt_reconstruct(lay.realized_cores(phases))
+        else:
+            matrix = lay.realized_weight(phases)
+        start, stop = spans[f"layer{k}.bias"]
+        out.append((matrix, theta[start:stop]))
+    return out
+
+
+def oracle(model, x, domain):
+    """One GEMM per layer over all rows: the unblocked forward."""
+    layers = _weight_layers(model) if domain == "weight" else _phase_layers(model)
+    h = (x - model.input_shift) * model.input_scale
+    act = _ACT[model.activation]
+    for k, (matrix, bias) in enumerate(layers):
+        h = h @ matrix.T
+        h += bias
+        if k < len(layers) - 1:
+            act(h, out=h)
+    if model.output_scale != 1.0:
+        h = h * model.output_scale
+    return h[:, 0]
+
+
+def _model(domain, tensorized):
+    cfg = RunConfig(problem_name="burgers", domain=domain, model_tensorized=tensorized, run_seed=2)
+    return build_run_model(cfg, 2)
+
+
+_MODELS = pytest.mark.parametrize(
+    "domain,tensorized",
+    [(d, t) for d in ("weight", "phase") for t in (True, False)],
+    ids=["weight-tt", "weight-dense", "phase-tt", "phase-dense"],
+)
+
+
+@_MODELS
+@pytest.mark.parametrize("rows", ROWS)
+def test_one_off_forward_equals_one_gemm_per_layer(domain, tensorized, rows):
+    model = _model(domain, tensorized)
+    x = np.random.default_rng(rows).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
+    got = model(x)
+    assert model._cache.kept == {}
+    assert np.array_equal(got, oracle(model, x, domain))
+
+
+@_MODELS
+@pytest.mark.parametrize("rows", ROWS)
+def test_forward_from_kept_activations_equals_one_gemm_per_layer(domain, tensorized, rows):
+    """Probes on layers 1 and 2 restart from full-size kept activations; the
+    layers after the first recomputed one run through the block buffers."""
+    model = _model(domain, tensorized)
+    x = np.random.default_rng(rows).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
+    theta = model.get_flat()
+    model(x)
+    model(x)  # the same rows twice in a row: keeps the input and output of layer 0
+    assert set(model._cache.kept) == {0, 1}
+    spans = {name: (start, stop) for name, start, stop in model.segments()}
+    for name in ("layer1.bias", "layer2.bias"):
+        start, stop = spans[name]
+        theta[start:stop] += 0.01
+        model.set_flat(theta)
+        got = model(x)
+        k = int(name[len("layer")])
+        assert set(model._cache.kept) == {k, k + 1}
+        assert np.array_equal(got, oracle(model, x, domain)), name
+
+
+@pytest.mark.parametrize("tensorized", [True, False], ids=["tt", "dense"])
+def test_one_off_holdout_forward_peaks_below_a_few_blocks(tensorized):
+    """A Black-Scholes hold-out forward (20,301 rows x width 128) holds no
+    full-size hidden activation: its peak is bounded by BLOCK_ROWS, not by
+    the row count."""
+    model = build_model("black-scholes", tensorized=tensorized, seed=0)
+    pts = get_problem("black-scholes").holdout_points()
+    assert len(pts) == 20_301
+    width = model.layers[0].n_out
+    tracemalloc.start()
+    try:
+        model(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full_activation = len(pts) * width * 8
+    assert peak < 3 * B * width * 8 < full_activation

@@ -13,7 +13,7 @@ import pytest
 from photopinn.config import RunConfig
 from photopinn.models import build_model
 from photopinn.pde import pinn_loss
-from photopinn.photonic import apply_nonidealities, block_phase_count, stage_neighbors
+from photopinn.photonic import PhotonicDense, PhotonicTT, apply_nonidealities, block_phase_count, stage_neighbors
 from photopinn.training import build_run_model, config_problem, config_stein, evaluate_model, step_loss
 from photopinn.zo import ParamView, ZoConfig, rge_estimate
 
@@ -74,21 +74,69 @@ def test_training_loss_equals_a_fresh_model_per_query(problem, domain, tensorize
 
 
 def test_writing_into_the_flat_vector_reaches_the_next_forward(rng):
+    """An in-place write is seen: into layer 0, which feeds the kept input of
+    layer 1, then into a core of the TT layer 1, whose reconstructed matrix
+    must be rebuilt."""
     model = build_model("black-scholes", tensorized=True, seed=0)
     theta = model.get_flat()
     model.set_flat(theta)  # the layers now hold views of theta
     x = rng.uniform([0.0, 0.0], [200.0, 1.0], size=(40, 2))
     model(x)
     before = model(x)
-    assert set(model._cache.kept) == {0, 1}  # the same rows twice in a row
-    # layer 0 feeds the kept input of layer 1, which must not be reused now
-    start, stop = next((a, b) for name, a, b in model.segments() if name == "layer0.weight")
-    theta[start:stop] += 0.1
-    after = model(x)
-    fresh = build_model("black-scholes", tensorized=True, seed=0)
-    fresh.set_flat(theta.copy())
-    assert not np.array_equal(after, before)
-    assert np.array_equal(after, fresh(x))
+    for segment in ("layer0.weight", "layer1.core0"):
+        assert set(model._cache.kept) == {0, 1}  # the same rows twice in a row
+        start, stop = next((a, b) for name, a, b in model.segments() if name == segment)
+        theta[start:stop] += 0.1
+        after = model(x)
+        fresh = build_model("black-scholes", tensorized=True, seed=0)
+        fresh.set_flat(theta.copy())
+        assert not np.array_equal(after, before), segment
+        assert np.array_equal(after, fresh(x)), segment
+        before = after
+
+
+@pytest.mark.parametrize("tensorized", [True, False], ids=["tt", "dense"])
+def test_a_phase_layer_is_realized_once_per_distinct_phase_state(tensorized, monkeypatch):
+    """A layer returns to its base phases after its own +/- probes; that state
+    is taken from the layer's recent realizations, not realized again."""
+    cfg = _tiny_config("black-scholes", "phase", tensorized, "float64")
+    problem = config_problem(cfg)
+    stein = config_stein(cfg, problem, SEED)
+    model = build_run_model(cfg, SEED)
+    calls = {}
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(layer, phases):
+            calls[id(layer)] = calls.get(id(layer), 0) + 1
+            return original(layer, phases)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(PhotonicDense, "realized_weight")
+    count(PhotonicTT, "realized_cores")
+    phase_spans = [(a, b) for name, a, b in model.segments() if name.endswith(".phases")]
+    states = [set() for _ in model.layers]
+
+    def loss_at(step):
+        loss = step_loss(model, problem, stein, SEED, step)
+
+        def fn(th):
+            for seen, (a, b) in zip(states, phase_spans):
+                seen.add(th[a:b].tobytes())
+            return loss(th)
+
+        return fn
+
+    theta = model.get_flat()
+    view = ParamView.from_segments(model.segments())
+    zo = ZoConfig(radius=cfg.zo_radius_effective(), distribution=cfg.zo_distribution_effective(), seed=SEED)
+    for step in range(3):
+        grad, _ = rge_estimate(loss_at(step), theta, view, zo, step)
+        theta = theta - 0.05 * grad / (np.abs(grad).max() + 1e-12)
+    assert [calls[id(layer)] for layer in model.layers] == [len(seen) for seen in states]
+    assert [len(seen) for seen in states] == [9] * len(model.layers)  # base, + and - per step
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])

@@ -23,7 +23,7 @@ def make_tanh_mlp(dim, width, seed):
 def estimate(net, x, cfg, which, call_index=0):
     """Estimators at one center x, through SteinPlan as the loss computes them."""
     plan = SteinPlan(cfg, len(x), call_index)
-    out = plan.combine(net(plan.eval_points(x)), which)
+    (out,) = plan.combine(net(plan.eval_points(x)), [(slice(None), which)])
     return {k: v[0] for k, v in out.items()}
 
 
@@ -195,7 +195,7 @@ def _combine_oracle(offsets, weights, sigma, f):
     }
 
 
-@pytest.mark.parametrize(
+_PLANS = pytest.mark.parametrize(
     "cfg,dim",
     [
         (SteinConfig(sigma=0.05, level=3), 2),
@@ -205,6 +205,9 @@ def _combine_oracle(offsets, weights, sigma, f):
     ],
     ids=["grid-2", "grid-3", "grid-21", "monte-carlo-3"],
 )
+
+
+@_PLANS
 def test_combine_on_queried_rows_equals_the_full_layout(cfg, dim):
     call_index = 5
     offsets, weights = _full_layout(cfg, dim, call_index)
@@ -215,10 +218,29 @@ def test_combine_on_queried_rows_equals_the_full_layout(cfg, dim):
     plan = SteinPlan(cfg, dim, call_index)
     points = plan.eval_points(centers).reshape(len(centers), plan.n_queries, dim)
     assert np.array_equal(points, centers[:, None, :] + offsets[None, plan.queried])
-    got = plan.combine(f[:, plan.queried].reshape(-1), ("value", "first", "second"))
+    (got,) = plan.combine(f[:, plan.queried].reshape(-1), [(slice(None), ("value", "first", "second"))])
     want = _combine_oracle(offsets, weights, cfg.sigma, f)
     for key in want:
         assert np.array_equal(got[key], want[key]), key
+
+
+@_PLANS
+def test_one_combine_over_all_terms_equals_a_call_per_term(cfg, dim):
+    """A loss query combines its residual and data terms in one call; each term
+    must equal a call on that term's values alone."""
+    plan = SteinPlan(cfg, dim, 5)
+    net = make_tanh_mlp(dim, 16, dim)
+    centers = np.random.default_rng(dim).uniform(-0.5, 0.5, size=(7, dim))
+    values = net(plan.eval_points(centers))
+    per_center = values.reshape(len(centers), plan.n_queries)
+    parts = [(slice(0, 4), ("value", "first", "second")), (slice(4, 6), ("value",)), (slice(6, 7), ("value",))]
+    got = plan.combine(values, parts)
+    assert len(got) == len(parts)
+    for (rows, which), term in zip(parts, got):
+        (want,) = plan.combine(per_center[rows].reshape(-1), [(slice(None), which)])
+        assert term.keys() == want.keys() == set(which)
+        for key in want:
+            assert np.array_equal(term[key], want[key]), key
 
 
 def test_plan_combine_batches_match_single_calls():
@@ -227,7 +249,7 @@ def test_plan_combine_batches_match_single_calls():
     pts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(6, 2))
     plan = SteinPlan(cfg, 2)
     vals = net(plan.eval_points(pts))
-    out = plan.combine(vals, ("value", "first", "second"))
+    (out,) = plan.combine(vals, [(slice(None), ("value", "first", "second"))])
     for i, x in enumerate(pts):
         single = estimate(net, x, cfg, ("value", "first", "second"))
         assert out["value"][i] == pytest.approx(single["value"], abs=1e-13)

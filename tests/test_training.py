@@ -1,5 +1,7 @@
-"""Training reruns: every stochastic stream is keyed by (seed, step, ...), so
+"""Training outputs: every stochastic stream is keyed by (seed, step, ...), so
 two runs of one config log the same rows and save the same theta."""
+
+import json
 
 import numpy as np
 import pytest
@@ -35,3 +37,25 @@ def test_training_reruns_identically(domain, tmp_path):
     rerun_rows, rerun_theta = run("b")
     assert rows == rerun_rows
     assert np.array_equal(theta, rerun_theta)
+
+
+def test_the_query_column_counts_zo_queries_only(tmp_path):
+    """The logged count is the ZO estimates' queries (2 x groups x probes per
+    step); the query that logs each row's loss is not among them."""
+    cfg = RunConfig(
+        problem_name="black-scholes",
+        problem_residual_points=4,
+        problem_initial_points=2,
+        problem_boundary_points=2,
+        opt_iterations=2,
+        run_log_every=1,
+        run_out_dir=str(tmp_path),
+    )
+    report = train(cfg)
+    seed_dir = tmp_path / "black-scholes" / f"seed{cfg.seeds[0]}"
+    header, *rows = (seed_dir / "metrics.csv").read_text().splitlines()
+    assert header == "step,loss,rel_l2,zo_queries,wall_time"
+    per_step = 2 * 8  # per-tensor groups of BS TT: weight and bias, three cores and bias, weight and bias
+    assert [int(row.split(",")[3]) for row in rows] == [per_step, 2 * per_step, 2 * per_step]
+    assert json.loads((seed_dir / "report.txt").read_text())["zo_queries"] == 2 * per_step
+    assert f"{2 * per_step} ZO loss queries" in report.summary()
