@@ -37,7 +37,6 @@ class RunConfig:
     model_tensorized: bool = True
     model_rank: int = 2
     model_width: int = 0  # 0 -> problem default
-    model_dtype: str = "float64"
     # loss evaluation
     loss_mode: str = "sg"  # sg (sparse grid) | se (monte-carlo stein)
     loss_level: int = 3
@@ -76,9 +75,6 @@ class RunConfig:
             raise ConfigError(f"domain must be weight|phase, got {self.domain!r}")
         if self.loss_mode not in ("sg", "se"):
             raise ConfigError(f"loss.mode must be sg|se, got {self.loss_mode!r}")
-        if self.domain == "phase" and self.model_dtype != "float64":
-            # phase realization and the noise pipeline run in float64 only
-            raise ConfigError(f"model.dtype must be float64 in the phase domain, got {self.model_dtype!r}")
         if self.opt_algorithm not in ("adam", "sgd"):
             raise ConfigError(f"opt.algorithm must be adam|sgd, got {self.opt_algorithm!r}")
 

@@ -29,7 +29,7 @@ from .pde import PROBLEM_NAMES
 from .pde import black_scholes as bs
 from .photonic.model import PhotonicDense, PhotonicMlp, PhotonicTT, random_phases
 from .photonic.noise import NoiseModel
-from .tensortrain import TTLayout
+from .tensortrain import TTLayout, tt_init
 
 __all__ = ["Architecture", "architecture", "build_model", "build_phase_model"]
 
@@ -118,23 +118,23 @@ def build_model(
     rank: int = 2,
     width: int | None = None,
     seed: int = 0,
-    dtype=np.float64,
 ) -> TensorizedMlp:
-    """Weight-domain model: dense layers draw from default_rng(seed) in draw
-    order; the j-th TT layer is initialized from seed + 1 + j."""
+    """Weight-domain model: dense layers draw Glorot-normal weights from
+    default_rng(seed) in draw order; the j-th TT layer is initialized from
+    seed + 1 + j."""
     arch = architecture(problem, tensorized, rank, width)
+    layers = [TTLayer(l) if isinstance(l, TTLayout) else DenseLayer(*l) for l in arch.layers]
     rng = np.random.default_rng(seed)
-    tt_layers = [k for k, layer in enumerate(arch.layers) if isinstance(layer, TTLayout)]
-    layers = [None] * len(arch.layers)
+    tt_layers = [k for k, layer in enumerate(layers) if isinstance(layer, TTLayer)]
+    params = [None] * len(layers)
     for k in arch.draw_order:
-        layer = arch.layers[k]
-        if isinstance(layer, TTLayout):
-            layers[k] = TTLayer.init(layer, seed + 1 + tt_layers.index(k))
+        layer = layers[k]
+        if isinstance(layer, TTLayer):
+            params[k] = tt_init(layer.layout, seed + 1 + tt_layers.index(k)).cores
         else:
-            layers[k] = DenseLayer.init(*layer, rng)
-    return TensorizedMlp(
-        layers, arch.activation, arch.input_shift, arch.input_scale, arch.output_scale, dtype=dtype
-    )
+            std = np.sqrt(2.0 / (layer.n_in + layer.n_out))
+            params[k] = [std * rng.standard_normal((layer.n_out, layer.n_in))]
+    return TensorizedMlp(layers, params, arch.activation, arch.input_shift, arch.input_scale, arch.output_scale)
 
 
 def build_phase_model(

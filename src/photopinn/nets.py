@@ -1,39 +1,32 @@
-"""MLP solution networks with dense or tensor-train hidden layers.
+"""MLP solution networks over one flat parameter vector, in either domain.
 
-A `TensorizedMlp` owns its trainable arrays and exposes them as one flat
-vector with named segments, which is what the zeroth-order optimizer
-perturbs.  Inputs can be affinely normalized and the output rescaled; both are
-fixed (non-trainable) problem-conditioning choices taken from the model's
-architecture (`models.architecture`).
+`Mlp` is the network: layers chained with an activation on every hidden
+layer, affinely normalized inputs and a rescaled output (fixed conditioning
+taken from `models.architecture`), and one flat float64 vector theta of
+trainables with named segments, which is what the zeroth-order optimizer
+perturbs.  A layer kind supplies only its shapes and two steps: `realize`
+maps its parameters to what a forward multiplies by, and `apply` multiplies
+a block of rows by it.  The weight-domain kinds here are `DenseLayer` and
+`TTLayer` (model `TensorizedMlp`); the phase-domain kinds and their noise
+map live in `photonic.model` (model `PhotonicMlp`).
 
 Forwards stream the input through the network in blocks of `BLOCK_ROWS`
 rows: each block passes through every layer before the next block starts,
 so an activation that is not kept is never larger than BLOCK_ROWS x width.
-Each layer's (out, in) matrix is built once per parameter change (a TT
-layer's reconstruction, see `tensortrain`), not once per block, and every
-block writes into buffers the forward's `PrefixCache` owns and recycles.
-
-Forwards also reuse work across zeroth-order probes (`PrefixCache`).  When
-a call's input rows equal the previous call's, bit for bit, the forward
-restarts at the first layer whose parameters changed since that call, from
-the stored activation that feeds it.  Parameters are compared by value
-against copies taken at the previous call, never by object identity:
-`set_flat` stores views of the caller's vector, which the caller may change
-in place.  At most two full-size activations are kept (the input and the
-output of the first recomputed layer), and only when the same rows arrive
-twice in a row, so a one-off forward such as the hold-out evaluation keeps
-none.
+Every block writes into buffers the forward's `PrefixCache` owns and
+recycles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensortrain import TTCores, TTLayout, tt_forward, tt_init, tt_reconstruct
+from .tensortrain import TTCores, TTLayout, tt_forward, tt_reconstruct
 
-__all__ = ["DenseLayer", "TTLayer", "TensorizedMlp", "PrefixCache", "BLOCK_ROWS"]
+__all__ = ["Mlp", "DenseLayer", "TTLayer", "TensorizedMlp", "PrefixCache", "BLOCK_ROWS"]
 
 # Rows per forward block.  Block edges fall on multiples of every GEMM row
 # unroll, so each row meets the same BLAS kernel as in one GEMM over all rows
@@ -57,27 +50,17 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _take(pool: dict, shape: tuple, dtype) -> np.ndarray:
+def _take(pool: dict, shape: tuple) -> np.ndarray:
     """An array of `shape` from `pool` (removed from it), else a new one."""
     for key, arr in pool.items():
-        if arr.shape == shape and arr.dtype == dtype:
+        if arr.shape == shape:
             return pool.pop(key)
-    return np.empty(shape, dtype)
-
-
-def _normalize_into(rows: np.ndarray, shift: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
-    """(rows - shift) * scale into `out`, rounded once to its dtype."""
-    if out.dtype == rows.dtype:
-        np.subtract(rows, shift, out=out)
-        out *= scale
-    else:
-        out[...] = (rows - shift) * scale
+    return np.empty(shape)
 
 
 class PrefixCache:
     """What one network's last forward left for its next: the input rows, a
-    copy of every parameter array, at most two activations, and the block
-    buffers.
+    copy of every bias, at most two activations, and the block buffers.
 
     Per-tensor ZO probes change one layer at a time, so a probe on layer k
     restarts from the kept input of layer k, and the first probe on layer
@@ -110,7 +93,7 @@ class PrefixCache:
         """A contiguous (rows, width) view into block buffer `parity`."""
         return self._blocks[parity, : rows * width].reshape(rows, width)
 
-    def forward(self, x: np.ndarray, first_changed: int, widths, embed, layer, dtype=np.float64):
+    def forward(self, x: np.ndarray, first_changed: int, widths, embed, layer):
         """The last layer's output for 2-D rows x, computed block by block.
 
         `widths[k]` is the width of layer k's input and `widths[-1]` that of
@@ -128,18 +111,18 @@ class PrefixCache:
         h = pool.pop(start, None)
         if repeat:
             if h is None:
-                start, h = 0, _take(pool, (n, widths[0]), dtype)
+                start, h = 0, _take(pool, (n, widths[0]))
                 embed(x, h)
             self.kept[start] = h
             if start + 1 < n_layers:
-                self.kept[start + 1] = _take(pool, (n, widths[start + 1]), dtype)
+                self.kept[start + 1] = _take(pool, (n, widths[start + 1]))
         else:
             self.rows = None
         del pool  # frees what the new kept activations did not reuse, before computing
         size = (BLOCK_ROWS + 1) * max(widths[:-1])  # a block has at most BLOCK_ROWS + 1 rows
-        if self._blocks is None or self._blocks.shape[1] < size or self._blocks.dtype != dtype:
-            self._blocks = np.empty((2, size), dtype)
-        out = np.empty((n, widths[-1]), dtype)
+        if self._blocks is None or self._blocks.shape[1] < size:
+            self._blocks = np.empty((2, size))
+        out = np.empty((n, widths[-1]))
         edges = list(range(0, n, BLOCK_ROWS)) + [n]
         if len(edges) > 2 and n - edges[-2] == 1:
             del edges[-2]  # a lone last row would take numpy's GEMV path, not GEMM: join it to the block before
@@ -164,108 +147,109 @@ class PrefixCache:
         return out
 
 
-@dataclass
-class DenseLayer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+class Mlp:
+    """Feed-forward net over one flat float64 parameter vector theta.
 
-    @classmethod
-    def init(cls, n_in: int, n_out: int, rng: np.random.Generator) -> "DenseLayer":
-        std = np.sqrt(2.0 / (n_in + n_out))
-        return cls(weight=std * rng.standard_normal((n_out, n_in)), bias=np.zeros(n_out))
+    theta holds, per layer, its parameters (one segment per entry of the
+    layer's `shapes`) and then its bias; `params` gives each layer's initial
+    parameters, one array per entry of its `shapes`, and biases start at
+    zero.  `set_flat` copies into theta, so the model owns its store.
 
-    @property
-    def n_in(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.weight.shape[0]
-
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.matmul(x, self.weight.T, out=out)
-        out += self.bias
-        return out
-
-    def arrays(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def set_arrays(self, arrays):
-        self.weight, self.bias = arrays
-
-
-@dataclass
-class TTLayer:
-    cores: TTCores
-    bias: np.ndarray
-
-    @classmethod
-    def init(cls, layout: TTLayout, seed: int) -> "TTLayer":
-        return cls(cores=tt_init(layout, seed), bias=np.zeros(layout.rows))
-
-    @property
-    def n_in(self) -> int:
-        return self.cores.layout.cols
-
-    @property
-    def n_out(self) -> int:
-        return self.cores.layout.rows
-
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None, matrix: np.ndarray | None = None) -> np.ndarray:
-        """x times the layer's weight plus bias; `matrix` is `tt_reconstruct(self.cores)` if the caller holds it."""
-        out = tt_forward(self.cores, x, out=out, matrix=matrix)
-        out += self.bias
-        return out
-
-    def arrays(self):
-        named = [(f"core{k}", core) for k, core in enumerate(self.cores.cores)]
-        named.append(("bias", self.bias))
-        return named
-
-    def set_arrays(self, arrays):
-        *cores, bias = arrays
-        self.cores = TTCores(self.cores.layout, list(cores))
-        self.bias = bias
-
-
-class TensorizedMlp:
-    """Feed-forward net: layers chained with an activation on every hidden layer.
-
-    Calls reuse the layer prefix of the previous call (see `PrefixCache`).  A
-    TT layer's matrix is reconstructed when the cache reports one of its
-    cores changed, and reused by every block until then.
+    A forward realizes a layer (`realize`: a weight copy, a TT matrix, or a
+    matrix realized from MZI phases) only when the layer's parameters
+    changed, as a chip reprograms only the phase shifters a probe touched.
+    Each layer keeps its last 1 + 2 x len(shapes) realized states:
+    per-tensor ZO probes each entry of a layer's `shapes` in turn, one +/-
+    pair each, before the layer's base parameters return, and that base
+    state is then taken from the kept ones instead of being realized again.
+    The forward restarts at the first layer whose parameters or bias
+    changed, from the activation the previous call kept for it
+    (`PrefixCache`).  All these checks compare values against copies, bit
+    for bit, so an in-place write into a vector the caller passes to
+    `set_flat` again is seen.
     """
 
     def __init__(
         self,
         layers: list,
+        params: list,
         activation: str = "tanh",
         input_shift: np.ndarray | None = None,
         input_scale: np.ndarray | None = None,
         output_scale: float = 1.0,
-        dtype=np.float64,
     ):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
+        if len(params) != len(layers):
+            raise ValueError(f"need initial parameters for each of {len(layers)} layers, got {len(params)}")
         self.layers = layers
         self.activation = activation
-        self.dtype = np.dtype(dtype)
         dim = layers[0].n_in
         self.input_shift = np.zeros(dim) if input_shift is None else np.asarray(input_shift, float)
         self.input_scale = np.ones(dim) if input_scale is None else np.asarray(input_scale, float)
         self.output_scale = float(output_scale)
+        self._segments = []  # (name, start, stop) in theta
+        self._param_slices = []  # per layer: its parameters in theta
+        self._bias_slices = []  # per layer: its bias in theta
+        chunks = []
+        pos = 0
+        for k, (layer, arrays) in enumerate(zip(layers, params)):
+            start = pos
+            for (name, shape), arr in zip(layer.shapes, arrays, strict=True):
+                if np.shape(arr) != tuple(shape):
+                    raise ValueError(f"layer {k} {name}: expected shape {tuple(shape)}, got {np.shape(arr)}")
+                chunks.append(np.ravel(arr))
+                self._segments.append((f"layer{k}.{name}", pos, pos + arr.size))
+                pos += arr.size
+            chunks.append(np.zeros(layer.n_out))
+            self._segments.append((f"layer{k}.bias", pos, pos + layer.n_out))
+            self._param_slices.append(slice(start, pos))
+            self._bias_slices.append(slice(pos, pos + layer.n_out))
+            pos += layer.n_out
+        self._theta = np.concatenate(chunks, dtype=np.float64)
+        self._recent = [[] for _ in layers]  # per layer: (parameters, realized), the one in use last
         self._cache = PrefixCache()
-        self._matrices: dict[int, np.ndarray] = {}  # TT layer index -> its reconstructed matrix
-        if self.dtype != np.float64:
-            self.set_flat(self.get_flat())  # cast layer arrays
+
+    # -- flat store: per layer, its parameters then its bias ----------------
+
+    def segments(self) -> list[tuple[str, int, int]]:
+        """Named, disjoint (name, start, stop) spans covering all trainables."""
+        return list(self._segments)
 
     @property
-    def n_in(self) -> int:
-        return self.layers[0].n_in
+    def n_params(self) -> int:
+        return len(self._theta)
 
-    @property
-    def n_out(self) -> int:
-        return self.layers[-1].n_out
+    def get_flat(self) -> np.ndarray:
+        return self._theta.copy()
+
+    def set_flat(self, theta: np.ndarray) -> None:
+        if np.shape(theta) != self._theta.shape:
+            raise ValueError(f"flat vector of shape {np.shape(theta)} != ({len(self._theta)},) trainables")
+        self._theta[:] = theta
+
+    # -- forward ---------------------------------------------------------------
+
+    def _effective(self, k: int) -> np.ndarray:
+        """Layer k's parameters as its layer realizes them; in the weight domain, as stored."""
+        return self._theta[self._param_slices[k]]
+
+    def _first_changed(self) -> int:
+        """Bring every layer's realized state up to date; the first layer whose parameters or bias changed."""
+        first = len(self.layers)
+        for k, layer in enumerate(self.layers):
+            params = self._theta[self._param_slices[k]]
+            recent = self._recent[k]
+            hit = next((i for i in reversed(range(len(recent))) if _same_bits(recent[i][0], params)), None)
+            params_changed = hit != len(recent) - 1
+            if hit is None:
+                recent.append((params.copy(), layer.realize(self._effective(k))))
+                del recent[: -(1 + 2 * len(layer.shapes))]
+            else:
+                recent.append(recent.pop(hit))
+            if self._cache.changed((k, "bias"), self._theta[self._bias_slices[k]]) or params_changed:
+                first = min(first, k)
+        return first
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -274,60 +258,72 @@ class TensorizedMlp:
         last = len(self.layers) - 1
 
         def embed(rows, out):
-            _normalize_into(rows, self.input_shift, self.input_scale, out)
+            np.subtract(rows, self.input_shift, out=out)
+            out *= self.input_scale
 
         def layer(k, h, out):
-            if k in self._matrices:
-                self.layers[k].apply(h, out, self._matrices[k])
-            else:
-                self.layers[k].apply(h, out)
+            self.layers[k].apply(h, out, self._recent[k][-1][1], self._theta[self._bias_slices[k]])
             if k < last:
                 act(out, out=out)
 
-        first = len(self.layers)
-        for k, lay in enumerate(self.layers):
-            changed = [self._cache.changed((k, name), arr) for name, arr in lay.arrays()]
-            if any(changed):
-                first = min(first, k)
-            if isinstance(lay, TTLayer) and any(changed[:-1]):  # a core changed (the bias is last)
-                self._matrices[k] = tt_reconstruct(lay.cores)
-        widths = [self.n_in] + [lay.n_out for lay in self.layers]
-        out = self._cache.forward(np.atleast_2d(x), first, widths, embed, layer, self.dtype)
+        first = self._first_changed()
+        widths = [self.layers[0].n_in] + [lay.n_out for lay in self.layers]
+        out = self._cache.forward(np.atleast_2d(x), first, widths, embed, layer)
         if self.output_scale != 1.0:
             out *= self.output_scale
         if out.shape[1] == 1:
             out = out[:, 0]
-        return (out[0] if single else out).astype(np.float64, copy=False)
+        return out[0] if single else out
 
-    # -- flat parameter store -------------------------------------------------
 
-    def segments(self) -> list[tuple[str, int, int]]:
-        """Named, disjoint (name, start, stop) spans covering all trainables."""
-        spans = []
-        pos = 0
-        for li, layer in enumerate(self.layers):
-            for name, arr in layer.arrays():
-                spans.append((f"layer{li}.{name}", pos, pos + arr.size))
-                pos += arr.size
-        return spans
+class TensorizedMlp(Mlp):
+    """Weight-domain network of `DenseLayer` and `TTLayer` layers."""
+
+
+@dataclass(frozen=True)
+class DenseLayer:
+    """A dense (n_out, n_in) weight matrix; realized as a copy of its segment."""
+
+    n_in: int
+    n_out: int
 
     @property
-    def n_params(self) -> int:
-        return sum(stop - start for _, start, stop in self.segments())
+    def shapes(self):
+        return [("weight", (self.n_out, self.n_in))]
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [arr.ravel() for layer in self.layers for _, arr in layer.arrays()]
-        ).astype(np.float64, copy=False)
+    def realize(self, params: np.ndarray) -> np.ndarray:
+        return params.reshape(self.n_out, self.n_in).copy()
 
-    def set_flat(self, theta: np.ndarray) -> None:
-        pos = 0
-        for layer in self.layers:
-            new = []
-            for _, arr in layer.arrays():
-                seg = theta[pos : pos + arr.size].reshape(arr.shape)
-                new.append(seg.astype(self.dtype, copy=False))
-                pos += arr.size
-            layer.set_arrays(new)
-        if pos != len(theta):
-            raise ValueError(f"flat vector length {len(theta)} != {pos} trainables")
+    def apply(self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray) -> None:
+        np.matmul(h, realized.T, out=out)
+        out += bias
+
+
+@dataclass(frozen=True)
+class TTLayer:
+    """A weight matrix in tensor-train format; realized as (cores, their reconstructed matrix)."""
+
+    layout: TTLayout
+
+    @property
+    def n_in(self) -> int:
+        return self.layout.cols
+
+    @property
+    def n_out(self) -> int:
+        return self.layout.rows
+
+    @property
+    def shapes(self):
+        return [(f"core{k}", self.layout.core_shape(k)) for k in range(self.layout.L)]
+
+    def realize(self, params: np.ndarray):
+        ends = np.cumsum([math.prod(shape) for _, shape in self.shapes])
+        pieces = np.split(params, ends[:-1])
+        cores = TTCores(self.layout, [p.reshape(shape).copy() for p, (_, shape) in zip(pieces, self.shapes)])
+        return cores, tt_reconstruct(cores)
+
+    def apply(self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray) -> None:
+        cores, matrix = realized
+        tt_forward(cores, h, out=out, matrix=matrix)
+        out += bias

@@ -91,11 +91,6 @@ class Rule1D:
         if len(self.nodes) != len(self.weights):
             raise QuadratureError("nodes and weights must have equal length")
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        x = np.asarray(self.nodes)
-        w = np.asarray(self.weights)
-        return float(np.dot(w, np.asarray(f(x), dtype=float)))
-
 
 def rule_1d(level: int) -> Rule1D:
     """Return the nested rule for the given accuracy level (1, 2 or 3)."""

@@ -14,10 +14,10 @@ depend on the batch, so one GEMM per layer is cheaper than contracting the
 batch against each core in turn.  The compression (parameter and device
 counts) lives in the cores, not in the order of the CPU contraction.
 
-A network reconstructs each TT layer once per change of its cores, not once
-per forward: `nets.TensorizedMlp` when its prefix cache reports a changed
-core, `photonic.model.PhotonicMlp` when it realizes the layer from new
-phases.  It then passes the matrix to `tt_forward` for every row block.
+A network reconstructs a TT layer when it realizes the layer, once per new
+parameter state and not once per forward (`nets.Mlp`): from the stored cores
+in the weight domain, from the cores its phases realize in the phase domain.
+It then passes the matrix to `tt_forward` for every row block.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "tt_reconstruct",
     "tt_forward",
     "tt_init",
-    "fold_index",
-    "unfold_index",
 ]
 
 RECONSTRUCT_CAP = 2**24  # max M*N entries tt_reconstruct will materialize
@@ -100,22 +98,6 @@ class TTCores:
                 raise ValueError(f"core {k} has shape {core.shape}, expected {want}")
             if not np.all(np.isfinite(core)):
                 raise ValueError(f"core {k} contains non-finite entries")
-
-
-def unfold_index(flat: int, factors: tuple[int, ...]) -> tuple[int, ...]:
-    """Row-major split of a flat index: the last factor varies fastest."""
-    out = []
-    for f in reversed(factors):
-        out.append(flat % f)
-        flat //= f
-    return tuple(reversed(out))
-
-
-def fold_index(multi: tuple[int, ...], factors: tuple[int, ...]) -> int:
-    flat = 0
-    for idx, f in zip(multi, factors):
-        flat = flat * f + idx
-    return flat
 
 
 def tt_reconstruct(cores: TTCores, cap: int = RECONSTRUCT_CAP) -> np.ndarray:

@@ -71,10 +71,6 @@ class RunReport:
     def std_rel_l2(self) -> float:
         return float(np.std([r.final_rel_l2 for r in self.results]))
 
-    @property
-    def total_queries(self) -> int:
-        return sum(r.queries for r in self.results)
-
     def summary(self) -> str:
         lines = [f"config {self.config_hash}"]
         for r in self.results:
@@ -121,7 +117,7 @@ def build_run_model(cfg: RunConfig, seed: int):
     """Weight- or phase-domain model for the configured problem."""
     args = (cfg.problem_name, cfg.model_tensorized, cfg.model_rank, cfg.model_width or None, seed)
     if cfg.domain == "weight":
-        return build_model(*args, dtype=np.dtype(cfg.model_dtype))
+        return build_model(*args)
     noise = NoiseModel(
         bits=cfg.noise_bits or None,
         gamma_std=cfg.noise_gamma_std,

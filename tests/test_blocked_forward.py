@@ -16,7 +16,7 @@ from photopinn.models import build_model
 from photopinn.nets import BLOCK_ROWS, TTLayer
 from photopinn.photonic import PhotonicTT
 from photopinn.pde import get_problem
-from photopinn.tensortrain import tt_reconstruct
+from photopinn.tensortrain import TTCores, tt_reconstruct
 from photopinn.training import build_run_model
 
 B = BLOCK_ROWS
@@ -25,10 +25,18 @@ _ACT = {"tanh": np.tanh, "sine": np.sin}
 
 
 def _weight_layers(model):
-    """Per layer: (matrix, bias) of a weight-domain model."""
-    return [
-        (tt_reconstruct(lay.cores) if isinstance(lay, TTLayer) else lay.weight, lay.bias) for lay in model.layers
-    ]
+    """Per layer: (matrix, bias) of a weight-domain model, read from its flat vector."""
+    theta = model.get_flat()
+    seg = {name: theta[start:stop] for name, start, stop in model.segments()}
+    out = []
+    for k, lay in enumerate(model.layers):
+        if isinstance(lay, TTLayer):
+            cores = [seg[f"layer{k}.core{j}"].reshape(lay.layout.core_shape(j)) for j in range(lay.layout.L)]
+            matrix = tt_reconstruct(TTCores(lay.layout, cores))
+        else:
+            matrix = seg[f"layer{k}.weight"].reshape(lay.n_out, lay.n_in)
+        out.append((matrix, seg[f"layer{k}.bias"]))
+    return out
 
 
 def _phase_layers(model):

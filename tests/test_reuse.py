@@ -1,7 +1,7 @@
 """Work reused across ZO probes against a cache-free oracle.
 
-A network reuses the layer prefix of its previous forward and, in the phase
-domain, the realized matrices of layers whose phases did not change.  The
+A network reuses the layer prefix of its previous forward and the realized
+matrices of layers whose parameters did not change, in both domains.  The
 oracle builds a fresh model for every loss query, so nothing carries over
 between queries; every query through the training loss must equal it bit
 for bit.
@@ -12,6 +12,7 @@ import pytest
 
 from photopinn.config import RunConfig
 from photopinn.models import build_model
+from photopinn.nets import DenseLayer, TTLayer
 from photopinn.pde import pinn_loss
 from photopinn.photonic import PhotonicDense, PhotonicTT, apply_nonidealities, block_phase_count, stage_neighbors
 from photopinn.training import build_run_model, config_problem, config_stein, evaluate_model, step_loss
@@ -20,19 +21,18 @@ from photopinn.zo import ParamView, ZoConfig, rge_estimate
 SEED = 3
 
 _CASES = [
-    pytest.param(problem, domain, tensorized, "float64", id=f"{problem}-{domain}-{'tt' if tensorized else 'dense'}")
+    pytest.param(problem, domain, tensorized, id=f"{problem}-{domain}-{'tt' if tensorized else 'dense'}")
     for problem in ("black-scholes", "hjb", "burgers", "darcy")
     for domain in ("weight", "phase")
     for tensorized in (True, False)
-] + [pytest.param("black-scholes", "weight", True, "float32", id="black-scholes-weight-tt-float32")]
+]
 
 
-def _tiny_config(problem, domain, tensorized, dtype):
+def _tiny_config(problem, domain, tensorized):
     return RunConfig(
         problem_name=problem,
         domain=domain,
         model_tensorized=tensorized,
-        model_dtype=dtype,
         model_width=128 if problem == "hjb" else 0,
         problem_residual_points=3 if problem == "hjb" else 6,
         problem_initial_points=2,
@@ -41,9 +41,9 @@ def _tiny_config(problem, domain, tensorized, dtype):
     )
 
 
-@pytest.mark.parametrize("problem,domain,tensorized,dtype", _CASES)
-def test_training_loss_equals_a_fresh_model_per_query(problem, domain, tensorized, dtype):
-    cfg = _tiny_config(problem, domain, tensorized, dtype)
+@pytest.mark.parametrize("problem,domain,tensorized", _CASES)
+def test_training_loss_equals_a_fresh_model_per_query(problem, domain, tensorized):
+    cfg = _tiny_config(problem, domain, tensorized)
     problem_ = config_problem(cfg)
     stein = config_stein(cfg, problem_, SEED)
     model = build_run_model(cfg, SEED)
@@ -74,12 +74,13 @@ def test_training_loss_equals_a_fresh_model_per_query(problem, domain, tensorize
 
 
 def test_writing_into_the_flat_vector_reaches_the_next_forward(rng):
-    """An in-place write is seen: into layer 0, which feeds the kept input of
-    layer 1, then into a core of the TT layer 1, whose reconstructed matrix
-    must be rebuilt."""
+    """An in-place write into a vector passed to `set_flat` again, as
+    `rge_estimate` does with its probe, is seen: into layer 0, which feeds the
+    kept input of layer 1, then into a core of the TT layer 1, whose
+    reconstructed matrix must be rebuilt."""
     model = build_model("black-scholes", tensorized=True, seed=0)
     theta = model.get_flat()
-    model.set_flat(theta)  # the layers now hold views of theta
+    model.set_flat(theta)
     x = rng.uniform([0.0, 0.0], [200.0, 1.0], size=(40, 2))
     model(x)
     before = model(x)
@@ -87,6 +88,7 @@ def test_writing_into_the_flat_vector_reaches_the_next_forward(rng):
         assert set(model._cache.kept) == {0, 1}  # the same rows twice in a row
         start, stop = next((a, b) for name, a, b in model.segments() if name == segment)
         theta[start:stop] += 0.1
+        model.set_flat(theta)
         after = model(x)
         fresh = build_model("black-scholes", tensorized=True, seed=0)
         fresh.set_flat(theta.copy())
@@ -95,11 +97,31 @@ def test_writing_into_the_flat_vector_reaches_the_next_forward(rng):
         before = after
 
 
+@pytest.mark.parametrize("domain", ["weight", "phase"])
+def test_set_flat_copies_a_vector_of_the_model_length(domain):
+    """The model owns its store: a later write into the caller's vector is
+    not seen until it is passed to `set_flat` again, and a vector of another
+    length is refused."""
+    model = build_run_model(_tiny_config("black-scholes", domain, True), SEED)
+    theta = model.get_flat()
+    x = np.array([[50.0, 0.5], [120.0, 0.9]])
+    before = model(x)
+    model.set_flat(theta)
+    theta += 0.1
+    assert np.array_equal(model(x), before)
+    for bad in (theta[:-1], np.append(theta, 0.0), 0.5):
+        with pytest.raises(ValueError):
+            model.set_flat(bad)
+    assert np.array_equal(model(x), before)
+
+
 @pytest.mark.parametrize("tensorized", [True, False], ids=["tt", "dense"])
-def test_a_phase_layer_is_realized_once_per_distinct_phase_state(tensorized, monkeypatch):
-    """A layer returns to its base phases after its own +/- probes; that state
-    is taken from the layer's recent realizations, not realized again."""
-    cfg = _tiny_config("black-scholes", "phase", tensorized, "float64")
+@pytest.mark.parametrize("domain", ["weight", "phase"])
+def test_a_phase_layer_is_realized_once_per_distinct_phase_state(domain, tensorized, monkeypatch):
+    """A layer returns to its base parameters (weights or phases) after its
+    own +/- probes; that state is taken from the layer's recent realizations,
+    not realized again."""
+    cfg = _tiny_config("black-scholes", domain, tensorized)
     problem = config_problem(cfg)
     stein = config_stein(cfg, problem, SEED)
     model = build_run_model(cfg, SEED)
@@ -108,22 +130,28 @@ def test_a_phase_layer_is_realized_once_per_distinct_phase_state(tensorized, mon
     def count(cls, name):
         original = getattr(cls, name)
 
-        def counted(layer, phases):
+        def counted(layer, params):
             calls[id(layer)] = calls.get(id(layer), 0) + 1
-            return original(layer, phases)
+            return original(layer, params)
 
         monkeypatch.setattr(cls, name, counted)
 
-    count(PhotonicDense, "realized_weight")
-    count(PhotonicTT, "realized_cores")
-    phase_spans = [(a, b) for name, a, b in model.segments() if name.endswith(".phases")]
+    if domain == "phase":
+        count(PhotonicDense, "realized_weight")
+        count(PhotonicTT, "realized_cores")
+    else:
+        count(DenseLayer, "realize")
+        count(TTLayer, "realize")
+    # a layer's parameters run from the end of the previous layer's bias to the start of its own
+    biases = [(a, b) for name, a, b in model.segments() if name.endswith(".bias")]
+    param_spans = [(prev[1], a) for prev, (a, _) in zip([(0, 0)] + biases, biases)]
     states = [set() for _ in model.layers]
 
     def loss_at(step):
         loss = step_loss(model, problem, stein, SEED, step)
 
         def fn(th):
-            for seen, (a, b) in zip(states, phase_spans):
+            for seen, (a, b) in zip(states, param_spans):
                 seen.add(th[a:b].tobytes())
             return loss(th)
 
@@ -136,12 +164,13 @@ def test_a_phase_layer_is_realized_once_per_distinct_phase_state(tensorized, mon
         grad, _ = rge_estimate(loss_at(step), theta, view, zo, step)
         theta = theta - 0.05 * grad / (np.abs(grad).max() + 1e-12)
     assert [calls[id(layer)] for layer in model.layers] == [len(seen) for seen in states]
-    assert [len(seen) for seen in states] == [9] * len(model.layers)  # base, + and - per step
+    groups = [len(layer.shapes) for layer in model.layers]  # probed parameter groups per layer
+    assert [len(seen) for seen in states] == [3 * (1 + 2 * g) for g in groups]  # base, + and - per group and step
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])
 def test_holdout_forward_keeps_no_activation(domain):
-    cfg = _tiny_config("black-scholes", domain, True, "float64")
+    cfg = _tiny_config("black-scholes", domain, True)
     problem = config_problem(cfg)
     stein = config_stein(cfg, problem, SEED)
     model = build_run_model(cfg, SEED)

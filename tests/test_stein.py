@@ -13,11 +13,11 @@ from conftest import central_diff_grad, central_diff_hess_diag, scalar_net
 
 
 def make_tanh_mlp(dim, width, seed):
+    """dim -> width -> width -> 1 tanh net with Glorot-normal weights."""
     rng = np.random.default_rng(seed)
-    return TensorizedMlp(
-        [DenseLayer.init(dim, width, rng), DenseLayer.init(width, width, rng), DenseLayer.init(width, 1, rng)],
-        activation="tanh",
-    )
+    layers = [DenseLayer(dim, width), DenseLayer(width, width), DenseLayer(width, 1)]
+    weights = [[np.sqrt(2.0 / (a.n_in + a.n_out)) * rng.standard_normal((a.n_out, a.n_in))] for a in layers]
+    return TensorizedMlp(layers, weights, activation="tanh")
 
 
 def estimate(net, x, cfg, which, call_index=0):

@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from photopinn.tensortrain import (
-    TTCores,
-    TTLayout,
-    fold_index,
-    tt_forward,
-    tt_init,
-    tt_param_count,
-    tt_reconstruct,
-    unfold_index,
-)
+from photopinn.tensortrain import TTCores, TTLayout, tt_forward, tt_init, tt_param_count, tt_reconstruct
 
 LAYOUTS = [
     TTLayout((4, 4, 4, 8), (8, 4, 4, 4), (1, 2, 2, 2, 1)),
@@ -29,11 +20,12 @@ def chain_product_matrix(cores):
     """W[i, j] = G_1(i_1, j_1) @ ... @ G_L(i_L, j_L) for every (i, j) at once.
 
     Independent of `tt_reconstruct`: it indexes the core slices through the
-    row-major multi-index split instead of contracting and permuting axes.
+    row-major multi-index split (last factor fastest) instead of contracting
+    and permuting axes.
     """
     lay = cores.layout
-    rows = np.array([unfold_index(i, lay.out_factors) for i in range(lay.rows)])
-    cols = np.array([unfold_index(j, lay.in_factors) for j in range(lay.cols)])
+    rows = np.stack(np.unravel_index(np.arange(lay.rows), lay.out_factors), axis=1)
+    cols = np.stack(np.unravel_index(np.arange(lay.cols), lay.in_factors), axis=1)
     w = np.ones((lay.rows, lay.cols, 1, 1))
     for k, core in enumerate(cores.cores):
         # (r0, M, N, r1) slices, one per entry -> (M, N, r0, r1)
@@ -151,8 +143,3 @@ def test_init_rank_one_gives_outer_product_structure():
     W = tt_reconstruct(tt_init(lay, 3))
     assert np.linalg.matrix_rank(W.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)) == 1
 
-
-def test_fold_unfold_bijection_512():
-    factors = (8, 4, 4, 4)
-    for i in range(512):
-        assert fold_index(unfold_index(i, factors), factors) == i
