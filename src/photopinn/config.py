@@ -77,6 +77,16 @@ class RunConfig:
             raise ConfigError(f"loss.mode must be sg|se, got {self.loss_mode!r}")
         if self.opt_algorithm not in ("adam", "sgd"):
             raise ConfigError(f"opt.algorithm must be adam|sgd, got {self.opt_algorithm!r}")
+        if self.zo_queries < 1:
+            raise ConfigError(f"zo.queries must be >= 1, got {self.zo_queries}")
+        if not self.zo_radius > 0:
+            raise ConfigError(f"zo.radius must be > 0, got {self.zo_radius!r}")
+        if self.zo_distribution not in ("", "gaussian", "rademacher"):
+            raise ConfigError(f"zo.distribution must be gaussian|rademacher, got {self.zo_distribution!r}")
+        if self.zo_grouping not in ("global", "per-tensor"):
+            raise ConfigError(f"zo.grouping must be global|per-tensor, got {self.zo_grouping!r}")
+        if self.run_log_every < 1:
+            raise ConfigError(f"run.log_every must be >= 1, got {self.run_log_every}")
 
     @property
     def seeds(self) -> tuple[int, ...]:

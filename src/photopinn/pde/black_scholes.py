@@ -4,12 +4,13 @@
     u(x, 1) = max(x - K, 0),  u(0, t) = 0,  u(200, t) = 200 - K exp(-r (1-t)).
 
 Parameters are fixed at vol = 0.2, r = 0.05, K = 100, T = 1.
+`bs_exact` imports `scipy.special` on first use: no training step needs it,
+and importing SciPy at module load would be most of a run's start-up time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 VOL = 0.2
 RATE = 0.05
@@ -22,6 +23,8 @@ __all__ = ["VOL", "RATE", "STRIKE", "HORIZON", "X_MAX", "bs_exact", "bs_terminal
 
 def bs_exact(x, t):
     """Closed-form call price u(x, t); handles the x = 0 and t = T limits."""
+    from scipy.special import ndtr
+
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     x, t = np.broadcast_arrays(x, t)

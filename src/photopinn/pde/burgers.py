@@ -16,13 +16,14 @@ benign in float64 because the num/den ratio cancels the large common scale.
 significant digits where phi is exponentially small, i.e. near x = 0.)
 
 The tests cross-check it against an independent conservative Godunov upwind
-finite-difference solve.
+finite-difference solve.  `burgers_cole_hopf_quad` imports `scipy.integrate`
+on first use: only an oracle build needs it, and importing SciPy at module
+load would be most of a run's start-up time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 NU = 0.01 / np.pi
 _A = 1.0 / (2.0 * np.pi * NU)  # = 50
@@ -43,6 +44,8 @@ def burgers_cole_hopf_quad(x: float, t: float) -> float:
     quadrature.  This stays accurate down to very small t, where the kernel
     peak is extremely narrow.
     """
+    from scipy.integrate import quad
+
     if t <= 0.0:
         return float(-np.sin(np.pi * x))
     var4 = 4.0 * NU * t

@@ -8,6 +8,9 @@ reference solution is a sparse direct solve of the flux-form five-point
 discretization with harmonic-mean face permeabilities, on the same 241 x 241
 node grid used for residual sampling.  The boundary condition is built into
 the solution network through the multiplier x1 (1 - x1) x2 (1 - x2).
+`darcy_fd_solve` imports `scipy.sparse` on first use: only an oracle build
+needs it, and importing SciPy at module load would be most of a run's
+start-up time.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import importlib.resources
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .raster import Raster, load_raster
 
@@ -62,6 +63,9 @@ def darcy_fd_solve(k_field: Raster, n: int = GRID_N, forcing: float = FORCING) -
     face permeabilities are harmonic means of the cell values at the
     neighboring nodes, the standard choice for discontinuous coefficients.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     h = 1.0 / (n - 1)
     xs = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")

@@ -80,6 +80,24 @@ def test_train_with_unbuildable_model_exits_2(text, message, tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "key,raw,message",
+    [
+        ("zo.grouping", "bogus", "zo.grouping must be global|per-tensor, got 'bogus'"),
+        ("zo.distribution", "uniform", "zo.distribution must be gaussian|rademacher, got 'uniform'"),
+        ("zo.queries", "0", "zo.queries must be >= 1, got 0"),
+        ("zo.radius", "-1", "zo.radius must be > 0, got -1.0"),
+        ("run.log_every", "0", "run.log_every must be >= 1, got 0"),
+    ],
+    ids=["zo.grouping", "zo.distribution", "zo.queries", "zo.radius", "run.log_every"],
+)
+def test_train_with_invalid_zo_or_log_value_exits_2_before_writing(key, raw, message, tmp_path, capsys):
+    cfg = _write_config(tmp_path, f"{key} = {raw}\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("domain", ["weight", "phase"])
 @pytest.mark.parametrize("source", ["config", "checkpoint"])
 def test_model_inspect_lists_tt_layouts(domain, source, tmp_path, capsys):
