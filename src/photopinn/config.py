@@ -87,6 +87,16 @@ class RunConfig:
             raise ConfigError(f"zo.grouping must be global|per-tensor, got {self.zo_grouping!r}")
         if self.run_log_every < 1:
             raise ConfigError(f"run.log_every must be >= 1, got {self.run_log_every}")
+        if self.noise_bits < 0:
+            raise ConfigError(f"noise.bits must be >= 0, got {self.noise_bits}")
+        if not self.noise_gamma_std >= 0:
+            raise ConfigError(f"noise.gamma_std must be >= 0, got {self.noise_gamma_std!r}")
+        if not 0 <= self.noise_crosstalk < 1:
+            raise ConfigError(f"noise.crosstalk must be in [0, 1), got {self.noise_crosstalk!r}")
+        for kind in ("residual", "initial", "boundary"):
+            points = getattr(self, f"problem_{kind}_points")
+            if points < 0:
+                raise ConfigError(f"problem.{kind}_points must be >= 0, got {points}")
 
     @property
     def seeds(self) -> tuple[int, ...]:

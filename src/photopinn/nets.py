@@ -65,6 +65,10 @@ class PrefixCache:
     Per-tensor ZO probes change one layer at a time, so a probe on layer k
     restarts from the kept input of layer k, and the first probe on layer
     k + 1 recomputes layer k at the base parameters from that same input.
+    The output of that first recomputed layer is kept only once some
+    repeated-rows query has asked to restart above layer 0: under global
+    grouping every probe changes layer 0, so no query would read it, and
+    only the input of layer 0 is kept.
 
     Memory: the kept activations are full-size (rows x width); every other
     intermediate lives in one of two block buffers (a layer's input and its
@@ -80,6 +84,7 @@ class PrefixCache:
         self.kept: dict[int, np.ndarray] = {}  # layer index -> the activation that feeds it
         self._seen: dict = {}
         self._blocks: np.ndarray | None = None  # two flat block buffers, see the class docstring
+        self._deep = False  # whether a repeated-rows query has asked to restart above layer 0
 
     def changed(self, key, value: np.ndarray) -> bool:
         """Whether `value` differs from the copy recorded under `key`; records a new copy if so."""
@@ -110,11 +115,12 @@ class PrefixCache:
         start = max((k for k in pool if k <= first_changed), default=None) if repeat else None
         h = pool.pop(start, None)
         if repeat:
+            self._deep |= first_changed > 0
             if h is None:
                 start, h = 0, _take(pool, (n, widths[0]))
                 embed(x, h)
             self.kept[start] = h
-            if start + 1 < n_layers:
+            if start + 1 < n_layers and self._deep:
                 self.kept[start + 1] = _take(pool, (n, widths[start + 1]))
         else:
             self.rows = None

@@ -134,3 +134,44 @@ def test_one_off_holdout_forward_peaks_below_a_few_blocks(tensorized):
         tracemalloc.stop()
     full_activation = len(pts) * width * 8
     assert peak < 3 * B * width * 8 < full_activation
+
+
+@pytest.mark.parametrize("domain", ["weight", "phase"])
+def test_global_probes_keep_no_full_size_hidden_activation(domain):
+    """Probes that change every layer, as under global grouping, restart from
+    layer 0 each time, so the forward keeps only the input of layer 0: a
+    repeated-rows forward peaks below one full-size hidden activation.  A
+    later probe on layer 1 recomputes layer 0 once and keeps its output from
+    then on.  Every forward equals a fresh model's."""
+    model = _model(domain, True)
+    rows = 3 * B + 146
+    x = np.random.default_rng(0).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
+    rng = np.random.default_rng(1)
+    theta = model.get_flat()
+    full_activation = rows * model.layers[0].n_out * 8
+
+    def fresh_forward():
+        fresh = _model(domain, True)
+        fresh.set_flat(theta)
+        return fresh(x)
+
+    model(x)
+    for _ in range(3):
+        theta += 0.01 * rng.standard_normal(theta.shape)
+        model.set_flat(theta)
+        tracemalloc.start()
+        try:
+            got = model(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_activation
+        assert set(model._cache.kept) == {0}
+        assert np.array_equal(got, fresh_forward())
+    start, stop = next((a, b) for name, a, b in model.segments() if name == "layer1.bias")
+    for kept in ({0, 1}, {1, 2}):
+        theta[start:stop] += 0.01
+        model.set_flat(theta)
+        got = model(x)
+        assert set(model._cache.kept) == kept
+        assert np.array_equal(got, fresh_forward())

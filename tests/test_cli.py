@@ -98,6 +98,34 @@ def test_train_with_invalid_zo_or_log_value_exits_2_before_writing(key, raw, mes
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "key,raw,message",
+    [
+        ("noise.bits", "-1", "noise.bits must be >= 0, got -1"),
+        ("noise.gamma_std", "-1", "noise.gamma_std must be >= 0, got -1.0"),
+        ("noise.crosstalk", "-1", "noise.crosstalk must be in [0, 1), got -1.0"),
+        ("noise.crosstalk", "1", "noise.crosstalk must be in [0, 1), got 1.0"),
+        ("problem.residual_points", "-5", "problem.residual_points must be >= 0, got -5"),
+        ("problem.initial_points", "-1", "problem.initial_points must be >= 0, got -1"),
+        ("problem.boundary_points", "-1", "problem.boundary_points must be >= 0, got -1"),
+    ],
+    ids=[
+        "noise.bits",
+        "noise.gamma_std",
+        "noise.crosstalk-negative",
+        "noise.crosstalk-one",
+        "problem.residual_points",
+        "problem.initial_points",
+        "problem.boundary_points",
+    ],
+)
+def test_train_with_invalid_noise_or_point_count_exits_2_before_writing(key, raw, message, tmp_path, capsys):
+    cfg = _write_config(tmp_path, f"domain = phase\n{key} = {raw}\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("domain", ["weight", "phase"])
 @pytest.mark.parametrize("source", ["config", "checkpoint"])
 def test_model_inspect_lists_tt_layouts(domain, source, tmp_path, capsys):
