@@ -5,6 +5,7 @@ from .problems import (
     PROBLEM_NAMES,
     SamplingBudget,
     get_problem,
+    holdout_reference,
     pinn_loss,
     reference_solution,
     relative_l2,

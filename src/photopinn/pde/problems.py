@@ -40,6 +40,7 @@ __all__ = [
     "pinn_loss",
     "relative_l2",
     "reference_solution",
+    "holdout_reference",
     "PROBLEM_NAMES",
 ]
 
@@ -254,6 +255,29 @@ def reference_solution(problem: PinnProblem, points: np.ndarray) -> np.ndarray:
             "and pass oracle_dir to get_problem"
         )
     return np.asarray(problem.reference(np.atleast_2d(points)), dtype=float)
+
+
+_HOLDOUT_REFERENCE: dict[str, np.ndarray] = {}
+
+
+def holdout_reference(problem: PinnProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The hold-out points and the reference values on them.
+
+    A closed-form reference (Black-Scholes, HJB) is computed once per process
+    and problem name, like `quadrature.cached_grid`, and returned read-only;
+    the gridded Burgers and Darcy references come from oracle files and are
+    read anew.  The points are rebuilt on every call: they cost a fifth of
+    the Black-Scholes reference, and kept they would hold 325 kB through
+    every ZO step, which the peak RSS of a run shows.
+    """
+    points = problem.holdout_points()
+    ref = _HOLDOUT_REFERENCE.get(problem.name)
+    if ref is None:
+        ref = reference_solution(problem, points)
+        if problem.oracle_name is None:  # a closed form, fixed by the problem name
+            ref.flags.writeable = False
+            _HOLDOUT_REFERENCE[problem.name] = ref
+    return points, ref
 
 
 # ---------------------------------------------------------------------------

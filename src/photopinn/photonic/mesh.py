@@ -16,6 +16,18 @@ Realization is batched by stage: `mesh_matrices` applies all rotations of one
 stage, for every mesh of a batch, in one array update.  The rotations within
 a stage act on disjoint row pairs, so each element sees exactly the
 arithmetic of a rotator-by-rotator loop and the result is bit-identical to it.
+
+The batch is the innermost axis while a batch is realized: the matrices are
+held as one (n, n, B) array, so the rows a stage rotates are one contiguous
+slab, viewed as (rotator, 2, n, B) pairs, and every elementwise op runs an
+inner loop of B values (hundreds for a layer's blocks) instead of the n (8
+for a dense block) of a (B, n, n) layout.  A stage is four in-place ops on
+that slab: sin times both rows of each pair into one temporary allocated
+once per batch, the slab times cos, then each row adds (u_i) or subtracts
+(u_j) the other row's product.  Each element sees the two products and the
+one sum of the rotator-by-rotator loop, up to the order of commuting
+operands, which IEEE 754 rounds identically, and up to c - s*u written for
+c + (-s)*u, which IEEE 754 defines as the same operation.
 """
 
 from __future__ import annotations
@@ -66,33 +78,47 @@ def stage_neighbors(n: int) -> np.ndarray:
 
 
 def mesh_matrices(phases: np.ndarray, diagonal: np.ndarray | None = None) -> np.ndarray:
-    """(B, n(n-1)/2) phases -> (B, n, n) realized orthogonal matrices.
+    """(B, n(n-1)/2) phases -> (B, n, n) realized orthogonal matrices, C-contiguous.
 
     `diagonal`, broadcastable to (B, n), is the output sign/phase screen;
     None means +1 on every row.
     """
     phases = np.asarray(phases, dtype=float)
-    batch, n_rot = phases.shape
+    n_rot = phases.shape[1]
     n = int(round((1.0 + np.sqrt(1.0 + 8.0 * n_rot)) / 2.0))
     if n * (n - 1) // 2 != n_rot:
         raise ValueError(f"{n_rot} phases do not fill a universal mesh")
-    c = np.cos(phases)[:, :, None]
-    s = np.sin(phases)[:, :, None]
-    u = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
-    for i0, k0, count in _stages(n):
-        rows_i = slice(i0, i0 + 2 * count, 2)
-        rows_j = slice(i0 + 1, i0 + 1 + 2 * count, 2)
-        ck = c[:, k0 : k0 + count]
-        sk = s[:, k0 : k0 + count]
-        ui = u[:, rows_i]
-        uj = u[:, rows_j]
-        # left-multiply by the stage's rotations acting on rows (i, i+1)
-        ri = ck * ui + sk * uj
-        rj = -sk * ui + ck * uj
-        u[:, rows_i] = ri
-        u[:, rows_j] = rj
+    # the copy starts once the stage loop's tables and temporary are freed
+    out = np.ascontiguousarray(_batch_last_meshes(phases, n).transpose(2, 0, 1))
     if diagonal is not None:
-        u = np.asarray(diagonal, dtype=float)[..., :, None] * u
+        out *= np.asarray(diagonal, dtype=float)[..., :, None]
+    return out
+
+
+def _batch_last_meshes(phases: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n, B) meshes of (B, n(n-1)/2) phases, the batch innermost."""
+    batch, n_rot = phases.shape
+    cos = np.empty((n_rot, 1, 1, batch))  # broadcasts over (rotator, 2, n, batch) pairs
+    sin = np.empty((n_rot, 1, 1, batch))
+    np.cos(phases.T, out=cos[:, 0, 0])
+    np.sin(phases.T, out=sin[:, 0, 0])
+    u = np.zeros((n, n, batch))
+    u.reshape(n * n, batch)[:: n + 1] = 1.0
+    products = np.empty((n // 2, 2, n, batch))
+    # per stage parity (first row i0): the stage's rows of u as (rotator, 2, n,
+    # batch) pairs, their two halves, and the same views of the temporary
+    views = []
+    for i0 in (0, 1):
+        count = (n - i0) // 2
+        pairs = u[i0 : i0 + 2 * count].reshape(count, 2, n, batch)
+        cross = products[:count]
+        views.append((pairs, pairs[:, 0], pairs[:, 1], cross, cross[:, 0], cross[:, 1]))
+    for i0, k0, count in _stages(n):
+        pairs, u_i, u_j, cross, sin_u_i, sin_u_j = views[i0]
+        np.multiply(sin[k0 : k0 + count], pairs, out=cross)
+        pairs *= cos[k0 : k0 + count]
+        u_i += sin_u_j  # u_i <- cos*u_i + sin*u_j
+        u_j -= sin_u_i  # u_j <- cos*u_j - sin*u_i
     return u
 
 

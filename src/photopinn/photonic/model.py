@@ -4,10 +4,15 @@ Dense layers become ceil(M/k) x ceil(N/k) grids of k x k SVD blocks (k = 8);
 tensor-train layers realize each core unfolding (r_k-1 * m_k) x (n_k * r_k)
 as one rectangular SVD block, reshaped back into the 4-way core, and
 reconstruct the matrix those cores represent once, when realized.  A layer
-realizes all of its blocks in one batched pass (meshes are applied stage by
-stage, see `mesh.mesh_matrices`) from its effective phases.  Biases stay
-digital.  Storage, change detection and reuse are `nets.Mlp`'s; a layer's
-parameters are its phases.
+realizes its blocks from its effective phases through `svd_matrices`: a
+dense layer all of its blocks in one call, a TT layer one call per core; a
+square shape's U and V meshes go to `mesh.mesh_matrices` as one batch.
+The mesh kernel holds its batch as the innermost axis, so its elementwise
+ops run over hundreds of contiguous values (the meshes) rather than over a
+block's 8 columns, and it updates the stages in place, with no fresh
+temporary per op; the more meshes per call, the more of each op's fixed
+cost they share.  Biases stay digital.  Storage, change detection and
+reuse are `nets.Mlp`'s; a layer's parameters are its phases.
 
 Crosstalk adjacency: rotators that are neighbors within the same stage of the
 same mesh couple with the model's coefficient; attenuator phases and

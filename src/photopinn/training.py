@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config, serialize_config
 from .models import Architecture, architecture, build_model, build_phase_model
-from .pde import get_problem, pinn_loss, reference_solution, relative_l2, step_inputs
+from .pde import get_problem, holdout_reference, pinn_loss, relative_l2, step_inputs
 from .pde.problems import LossWeights, PinnProblem, SamplingBudget
 from .photonic.noise import NoiseModel
 from .quadrature import SteinConfig
@@ -128,14 +128,11 @@ def build_run_model(cfg: RunConfig, seed: int):
     return build_phase_model(*args, noise=noise)
 
 
-def evaluate_model(model, problem: PinnProblem, max_points: int | None = None):
+def evaluate_model(model, problem: PinnProblem):
     """Hold-out relative l2 of the (transformed) solution, plus the field dump."""
-    pts = problem.holdout_points()
-    if max_points is not None and len(pts) > max_points:
-        pts = pts[:: len(pts) // max_points + 1]
+    pts, ref = holdout_reference(problem)
     solution = problem.transform(model)
     pred = np.asarray(solution(pts), dtype=float)
-    ref = reference_solution(problem, pts)
     return relative_l2(pred, ref), pts, pred, ref
 
 

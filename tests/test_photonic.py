@@ -33,17 +33,28 @@ from photopinn.training import _save_model, build_run_model, load_model, train
 TWO_PI = 2.0 * np.pi
 
 
-def reference_mesh(phases, n):
-    """One rotator at a time, in placement order: the pre-batching algorithm."""
-    u = np.eye(n)
+def reference_meshes(phases, n):
+    """One rotator at a time, in placement order, for every mesh of a
+    (B, n(n-1)/2) batch: the pre-batching algorithm."""
+    u = np.broadcast_to(np.eye(n), (len(phases), n, n)).copy()
     c = np.cos(phases)
     s = np.sin(phases)
     for k, (i, j, _) in enumerate(clements_placements(n)):
-        ri = c[k] * u[i] + s[k] * u[j]
-        rj = -s[k] * u[i] + c[k] * u[j]
-        u[i] = ri
-        u[j] = rj
+        ck, sk = c[:, k, None], s[:, k, None]
+        ri = ck * u[:, i] + sk * u[:, j]
+        rj = -sk * u[:, i] + ck * u[:, j]
+        u[:, i] = ri
+        u[:, j] = rj
     return u
+
+
+def reference_mesh(phases, n):
+    return reference_meshes(np.asarray(phases)[None], n)[0]
+
+
+def u64(a):
+    """The bytes of a float64 array: unlike `np.array_equal`, tells -0.0 from +0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def explicit_block(phases, m, n, scale):
@@ -54,13 +65,33 @@ def explicit_block(phases, m, n, scale):
     return reference_mesh(phases[:nu], m) @ sig @ reference_mesh(phases[nu + k :], n)
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_batched_mesh_equals_per_rotator_loop(n, rng):
-    phases = rng.uniform(0.0, TWO_PI, size=(5, n * (n - 1) // 2))
-    got = mesh_matrices(phases)
-    assert got.shape == (5, n, n)
-    for b in range(5):
-        assert np.array_equal(got[b], reference_mesh(phases[b], n))
+    """Byte for byte, for batches of 1, 7 and 512 meshes, also with phases of
+    exactly +0.0 and -0.0, whose zero sines make the signs of zero entries
+    depend on the order of the arithmetic."""
+    for batch in (1, 7, 512):
+        phases = rng.uniform(-TWO_PI, 2.0 * TWO_PI, size=(batch, n * (n - 1) // 2))
+        phases[::3, ::2] = 0.0
+        phases[1::3, 1::2] = -0.0
+        want = reference_meshes(phases, n)
+        got = mesh_matrices(phases)
+        assert got.shape == (batch, n, n) and got.flags.c_contiguous
+        assert np.array_equal(u64(got), u64(want))
+        diagonal = rng.choice([-1.0, 1.0], size=(batch, n)) * rng.uniform(0.5, 2.0, size=(batch, n))
+        assert np.array_equal(u64(mesh_matrices(phases, diagonal)), u64(diagonal[:, :, None] * want))
+        shared = diagonal[0]
+        assert np.array_equal(u64(mesh_matrices(phases, shared)), u64(shared[:, None] * want))
+
+
+def test_mesh_bytes_keep_signed_zeros(rng):
+    """The byte comparison above is stricter than `np.array_equal`: the
+    reference meshes it checks hold -0.0 entries."""
+    phases = rng.uniform(-TWO_PI, 2.0 * TWO_PI, size=(512, 3))
+    phases[1::3, 1::2] = -0.0
+    want = reference_meshes(phases, 3)
+    assert np.any((want == 0.0) & np.signbit(want))
+    assert np.array_equal(u64(mesh_matrices(phases)), u64(want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -91,17 +122,38 @@ def test_stage_neighbors_pair_consecutive_rotators_of_one_stage(n):
     assert stage_neighbors(n).tolist() == [list(p) for p in want]
 
 
-@pytest.mark.parametrize("m,n", [(8, 8), (4, 6), (6, 4), (1, 4), (8, 2)])
+@pytest.mark.parametrize(
+    "m,n", [(8, 8), (4, 6), (6, 4), (1, 4), (8, 2), (1, 1), (5, 5), (10, 10), (5, 8), (8, 5)]
+)
 def test_svd_block_equals_explicit_u_sigma_vt(m, n, rng):
+    """Byte for byte, one block and batches of 1, 7 and 64: square blocks
+    realize U and V in one mesh batch, rectangular ones in two; with or
+    without mesh diagonals."""
     block = SvdBlock.random(m, n, 0.7, rng)
     phases = np.concatenate([block.u_mesh.phases, block.sigma_phases, block.v_mesh.phases])
     assert len(phases) == block.n_phases() == block_phase_count(m, n)
-    assert np.array_equal(block.matrix(), explicit_block(phases, m, n, 0.7))
-    batch = rng.uniform(0.0, TWO_PI, size=(3, len(phases)))
-    scales = np.array([0.5, 1.0, 2.0])
-    got = svd_matrices(batch, m, n, scales)
-    for b in range(3):
-        assert np.array_equal(got[b], explicit_block(batch[b], m, n, scales[b]))
+    assert np.array_equal(u64(block.matrix()), u64(explicit_block(phases, m, n, 0.7)))
+    nu, k = m * (m - 1) // 2, min(m, n)
+    for batch in (1, 7, 64):
+        phases = rng.uniform(-TWO_PI, 2.0 * TWO_PI, size=(batch, block_phase_count(m, n)))
+        scales = rng.uniform(0.5, 2.0, size=batch)
+        got = svd_matrices(phases, m, n, scales)
+        want = np.stack([explicit_block(phases[b], m, n, scales[b]) for b in range(batch)])
+        assert np.array_equal(u64(got), u64(want))
+        u_diag = rng.choice([-1.0, 1.0], size=(batch, m))
+        v_diag = rng.choice([-1.0, 1.0], size=n)
+        for ud, vd in [(u_diag, v_diag), (u_diag, None), (None, v_diag)]:
+            got = svd_matrices(phases, m, n, scales, ud, vd)
+            for b in range(batch):
+                sig = np.zeros((m, n))
+                sig[np.arange(k), np.arange(k)] = scales[b] * np.cos(phases[b, nu : nu + k])
+                u = reference_mesh(phases[b, :nu], m)
+                v = reference_mesh(phases[b, nu + k :], n)
+                if ud is not None:
+                    u = ud[b][:, None] * u
+                if vd is not None:
+                    v = vd[:, None] * v
+                assert np.array_equal(u64(got[b]), u64(u @ sig @ v))
 
 
 def test_dense_layer_assembles_block_grid_row_major(rng):
@@ -173,6 +225,23 @@ def test_quantize_phases_is_idempotent(bits, rng):
     q = quantize_phases(phases, bits)
     assert np.array_equal(quantize_phases(q, bits), q)
     assert np.all((q >= 0.0) & (q < TWO_PI))
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8, 12])
+def test_quantize_phases_wraps_like_float_modulo(bits, rng):
+    """The level wrap q - 2^b floor(q / 2^b) gives the bytes of the float
+    `%` it replaced: on negatives, exact half levels (round half to even),
+    signed zeros, NaN and infinities."""
+    lsb = TWO_PI / (1 << bits)
+    levels = np.arange(-3 * (1 << bits), 3 * (1 << bits) + 1)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, -1e-300, 1e300, -1e300]
+    phases = np.concatenate(
+        [levels * lsb, (levels + 0.5) * lsb, (levels - 0.5) * lsb, rng.uniform(-20.0, 20.0, 500), special]
+    )
+    with np.errstate(invalid="ignore"):
+        want = (np.round(phases / lsb) % (1 << bits)) * lsb
+        got = quantize_phases(phases, bits)
+    assert np.array_equal(u64(got), u64(want))
 
 
 def test_flat_round_trip_owns_its_copy(rng):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from photopinn.config import RunConfig
-from photopinn.training import train
+from photopinn.models import build_model
+from photopinn.pde import black_scholes, get_problem, problems
+from photopinn.training import evaluate_model, train
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])
@@ -59,3 +61,27 @@ def test_the_query_column_counts_zo_queries_only(tmp_path):
     assert [int(row.split(",")[3]) for row in rows] == [per_step, 2 * per_step, 2 * per_step]
     assert json.loads((seed_dir / "report.txt").read_text())["zo_queries"] == 2 * per_step
     assert f"{2 * per_step} ZO loss queries" in report.summary()
+
+
+def test_closed_form_holdout_reference_is_computed_once(monkeypatch):
+    """Black-Scholes hold-out values come from `bs_exact` once per process;
+    later evaluations, on fresh problem objects too, read the cached
+    read-only array and give the same rel_l2 bit for bit."""
+    monkeypatch.setattr(problems, "_HOLDOUT_REFERENCE", {})
+    calls = []
+    exact = black_scholes.bs_exact
+
+    def counted(x, t):
+        calls.append(len(x))
+        return exact(x, t)
+
+    monkeypatch.setattr(black_scholes, "bs_exact", counted)
+    model = build_model("black-scholes", tensorized=True, seed=0)
+    results = [evaluate_model(model, get_problem("black-scholes")) for _ in range(3)]
+    assert calls == [20_301]
+    rels = np.array([rel for rel, *_ in results])
+    assert np.array_equal(rels.view(np.uint64), np.full(3, rels[0]).view(np.uint64))
+    _, pts, _, ref = results[-1]
+    assert not ref.flags.writeable
+    assert np.array_equal(pts, get_problem("black-scholes").holdout_points())
+    assert np.array_equal(ref, exact(pts[:, 0], pts[:, 1]))
