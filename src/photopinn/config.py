@@ -30,7 +30,7 @@ class RunConfig:
     problem_lambda0: float = 1.0
     problem_lambdab: float = 1.0
     problem_margin: float = 0.0
-    problem_residual_points: int = 0  # 0 -> problem default budget
+    problem_residual_points: int = 0  # 0 -> problem default count
     problem_initial_points: int = 0
     problem_boundary_points: int = 0
     # model
@@ -93,6 +93,12 @@ class RunConfig:
             raise ConfigError(f"noise.gamma_std must be >= 0, got {self.noise_gamma_std!r}")
         if not 0 <= self.noise_crosstalk < 1:
             raise ConfigError(f"noise.crosstalk must be in [0, 1), got {self.noise_crosstalk!r}")
+        for key in ("lambda0", "lambdab"):
+            weight = getattr(self, f"problem_{key}")
+            if not weight >= 0:
+                raise ConfigError(f"problem.{key} must be >= 0, got {weight!r}")
+        if not 0 <= self.problem_margin < 0.5:
+            raise ConfigError(f"problem.margin must be in [0, 0.5), got {self.problem_margin!r}")
         for kind in ("residual", "initial", "boundary"):
             points = getattr(self, f"problem_{kind}_points")
             if points < 0:

@@ -1,13 +1,11 @@
 from .problems import (
-    LossWeights,
+    DataTerm,
     OracleNotBuilt,
     PinnProblem,
     PROBLEM_NAMES,
-    SamplingBudget,
     get_problem,
     holdout_reference,
     pinn_loss,
-    reference_solution,
     relative_l2,
     sample_batch,
     step_inputs,

@@ -28,7 +28,12 @@ import numpy as np
 NU = 0.01 / np.pi
 _A = 1.0 / (2.0 * np.pi * NU)  # = 50
 
-__all__ = ["NU", "burgers_exact", "burgers_cole_hopf_quad", "burgers_initial"]
+__all__ = ["NU", "burgers_exact", "burgers_cole_hopf_quad", "burgers_initial", "holdout_axes"]
+
+
+def holdout_axes() -> tuple[np.ndarray, np.ndarray]:
+    """The x and t nodes of the hold-out grid; the oracle raster holds the reference on them."""
+    return np.linspace(-1.0, 1.0, 256), np.linspace(0.0, 1.0, 101)
 
 
 def burgers_initial(x):

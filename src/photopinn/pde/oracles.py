@@ -22,14 +22,13 @@ def oracle_build(name: str, oracle_dir, k_field: Raster | None = None, verbose: 
     oracle_dir = Path(oracle_dir)
     oracle_dir.mkdir(parents=True, exist_ok=True)
     if name == "burgers":
-        xs = np.linspace(-1.0, 1.0, 256)
-        ts = np.linspace(0.0, 1.0, 101)
+        xs, ts = bg.holdout_axes()
         values = np.empty((len(xs), len(ts)))
         for j, t in enumerate(ts):
             values[:, j] = bg.burgers_exact(xs, t)
             if verbose and j % 20 == 0:
                 print(f"burgers oracle: t={t:.2f}")
-        raster = Raster(values=values, extent=(-1.0, 1.0, 0.0, 1.0))
+        raster = Raster(values=values, extent=(xs[0], xs[-1], ts[0], ts[-1]))
         path = oracle_dir / "burgers_reference.txt"
         save_raster(raster=raster, path=path, meta={"nu": bg.NU, "method": "cole-hopf-quadrature"})
         return path

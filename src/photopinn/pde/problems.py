@@ -1,17 +1,32 @@
 """Benchmark descriptors, collocation sampling, and the smoothed PINN loss.
 
-A `PinnProblem` bundles one PDE: input layout (spatial coordinates first,
-time last when present), residual functional over the derivative bundle,
-data terms, per-step sampling budget, the solution-network transform, and
-the reference solution for the hold-out metric.
+A `PinnProblem` bundles one PDE: its input box (spatial coordinates first,
+time last when present), the residual functional over the derivative bundle,
+the residual points per step, its data terms, the solution-network
+transform, and the hold-out set with its reference solution.
+
+A data term (`DataTerm`) fits the solution to target values on faces of the
+box.  Each side is (coord, value, target): its points have coordinate
+`coord` fixed at `value` (coord -1 is time, so an initial or terminal
+condition is a one-side term) and `target` gives the wanted values there.
+Black-Scholes (terminal payoff) and Burgers (initial profile) have an
+`initial` term and a two-side `boundary` term; HJB and Darcy build their
+data into the network transform and have none.
+
+The points of one (seed, step) come from one generator in a fixed order:
+the residual points, then each term's sides in order (`initial` before
+`boundary`), `points` rows per side.  Each is uniform on the box shrunk by
+`sample_margin`, with a side's coordinate then set to its value; Darcy's
+residual points are a subsample of its fixed grid instead.
 
 The loss is
 
     L = L_r + lambda0 * L0 + lambdab * Lb,
 
-with every u, gradient, and second derivative coming from the smoothed-model
-estimators (no autodiff anywhere).  Smoothing noise covers the full input
-including time.
+each term's weight times its mean squared misfit added to the residual's in
+term order, with every u, gradient, and second derivative coming from the
+smoothed-model estimators (no autodiff anywhere).  Smoothing noise covers
+the full input including time.
 """
 
 from __future__ import annotations
@@ -30,16 +45,15 @@ from . import hjb
 from .raster import Raster, load_raster
 
 __all__ = [
-    "LossWeights",
-    "SamplingBudget",
+    "DataTerm",
     "PinnProblem",
     "OracleNotBuilt",
     "StepInputs",
     "get_problem",
+    "sample_batch",
     "step_inputs",
     "pinn_loss",
     "relative_l2",
-    "reference_solution",
     "holdout_reference",
     "PROBLEM_NAMES",
 ]
@@ -52,63 +66,38 @@ class OracleNotBuilt(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    lambda0: float = 1.0
-    lambdab: float = 1.0
+class DataTerm:
+    """One data term: `points` rows per side, fitted to each side's target."""
 
-    def __post_init__(self):
-        if self.lambda0 < 0 or self.lambdab < 0:
-            raise ValueError("loss weights must be non-negative")
-
-
-@dataclass(frozen=True)
-class SamplingBudget:
-    residual: int
-    initial: int = 0
-    boundary: int = 0  # per boundary side
-    fixed_grid: bool = False  # residual points come from the fixed grid (Darcy)
+    name: str
+    sides: tuple  # (coord, value, target fn of the side's (n, input_dim) points)
+    points: int
+    weight: float = 1.0
 
 
 @dataclass(frozen=True)
 class PinnProblem:
     name: str
-    spatial_dim: int
-    time_dependent: bool
     lo: np.ndarray
     hi: np.ndarray
     residual: Callable  # (bundle dict, X) -> residual values (B,)
-    budget: SamplingBudget
-    weights: LossWeights = LossWeights()
+    residual_points: int
+    holdout_points: Callable  # () -> the fixed evaluation set of the relative-l2 metric
+    data: tuple[DataTerm, ...] = ()
+    fixed_grid: bool = False  # residual points are a subsample of the hold-out grid (Darcy)
     sigma_default: float = 1e-3
-    # data terms: initial/terminal values and boundary sides
-    initial_time: float | None = None  # t at which the data term applies (0 or T)
-    initial_target: Callable | None = None  # (X spatial part) -> values
-    boundary_sides: tuple = ()  # tuples (coord index, value, target fn of X)
     transform: Callable = staticmethod(lambda net: net)  # raw net -> solution network
     reference: Callable | None = None  # (X) -> exact values, or None until oracle built
     oracle_name: str | None = None  # raster file stem for gridded references
-    sample_margin: float = 0.0  # shrink the residual-sampling box inward
+    sample_margin: float = 0.0  # shrink the sampling box inward
 
     @property
     def input_dim(self) -> int:
-        return self.spatial_dim + (1 if self.time_dependent else 0)
-
-    def holdout_points(self) -> np.ndarray:
-        """The fixed evaluation set used for the relative-l2 metric."""
-        if self.name == "black-scholes":
-            return _grid_points(0.0, bs.X_MAX, 201, 0.0, bs.HORIZON, 101)
-        if self.name == "hjb":
-            rng = np.random.default_rng(HOLDOUT_SEED)
-            return rng.uniform(size=(10_000, self.input_dim))
-        if self.name == "burgers":
-            return _grid_points(-1.0, 1.0, 256, 0.0, 1.0, 101)
-        if self.name == "darcy":
-            return _grid_points(0.0, 1.0, dc.GRID_N, 0.0, 1.0, dc.GRID_N)
-        raise KeyError(self.name)
+        return len(self.lo)
 
 
-def _grid_points(a0, a1, n0, b0, b1, n1):
-    A, B = np.meshgrid(np.linspace(a0, a1, n0), np.linspace(b0, b1, n1), indexing="ij")
+def _grid_points(a, b):
+    A, B = np.meshgrid(a, b, indexing="ij")
     return np.column_stack([A.ravel(), B.ravel()])
 
 
@@ -153,43 +142,55 @@ def _make_darcy_residual(k_field: Raster):
     return resid
 
 
+def _zeros(X):
+    return np.zeros(len(X))
+
+
 def get_problem(
     name: str,
-    sigma: float | None = None,
-    weights: LossWeights | None = None,
-    budget: SamplingBudget | None = None,
+    sigma: float = 0.0,
+    points: dict[str, int] | None = None,
+    weights: dict[str, float] | None = None,
     k_field: Raster | None = None,
     oracle_dir: str | Path | None = None,
     sample_margin: float = 0.0,
 ) -> PinnProblem:
-    """Build one of the four benchmark descriptors with optional overrides."""
+    """Build one of the four benchmark descriptors with optional overrides.
+
+    `points` maps 'residual' or a data term's name to its points per step
+    (per side for a data term) and `weights` a data term's name to its
+    weight; a name the problem lacks is ignored.  A `sigma` or a count of 0
+    keeps the problem's own.
+    """
     if name == "black-scholes":
         prob = PinnProblem(
             name=name,
-            spatial_dim=1,
-            time_dependent=True,
             lo=np.array([0.0, 0.0]),
             hi=np.array([bs.X_MAX, bs.HORIZON]),
             residual=_bs_residual,
-            budget=SamplingBudget(residual=100, initial=10, boundary=10),
-            sigma_default=1e-3,
-            initial_time=bs.HORIZON,  # terminal-value problem
-            initial_target=lambda xs: bs.bs_terminal(xs[:, 0]),
-            boundary_sides=(
-                (0, 0.0, lambda X: np.zeros(len(X))),
-                (0, bs.X_MAX, lambda X: bs.bs_boundary_hi(X[:, 1])),
+            residual_points=100,
+            holdout_points=lambda: _grid_points(
+                np.linspace(0.0, bs.X_MAX, 201), np.linspace(0.0, bs.HORIZON, 101)
+            ),
+            data=(
+                # a terminal-value problem: the payoff at t = T
+                DataTerm("initial", ((-1, bs.HORIZON, lambda X: bs.bs_terminal(X[:, 0])),), 10),
+                DataTerm(
+                    "boundary", ((0, 0.0, _zeros), (0, bs.X_MAX, lambda X: bs.bs_boundary_hi(X[:, 1]))), 10
+                ),
             ),
             reference=lambda X: bs.bs_exact(X[:, 0], X[:, 1]),
         )
     elif name == "hjb":
         prob = PinnProblem(
             name=name,
-            spatial_dim=hjb.SPATIAL_DIM,
-            time_dependent=True,
             lo=np.zeros(hjb.SPATIAL_DIM + 1),
             hi=np.ones(hjb.SPATIAL_DIM + 1),
             residual=_hjb_residual,
-            budget=SamplingBudget(residual=100),
+            residual_points=100,
+            holdout_points=lambda: np.random.default_rng(HOLDOUT_SEED).uniform(
+                size=(10_000, hjb.SPATIAL_DIM + 1)
+            ),
             sigma_default=0.1,
             transform=hjb.hjb_transform,
             reference=lambda X: hjb.hjb_exact(X[:, :-1], X[:, -1]),
@@ -197,46 +198,47 @@ def get_problem(
     elif name == "burgers":
         prob = PinnProblem(
             name=name,
-            spatial_dim=1,
-            time_dependent=True,
             lo=np.array([-1.0, 0.0]),
             hi=np.array([1.0, 1.0]),
             residual=_burgers_residual,
-            budget=SamplingBudget(residual=1200, initial=100, boundary=100),
-            sigma_default=1e-3,
-            initial_time=0.0,
-            initial_target=lambda xs: bg.burgers_initial(xs[:, 0]),
-            boundary_sides=(
-                (0, -1.0, lambda X: np.zeros(len(X))),
-                (0, 1.0, lambda X: np.zeros(len(X))),
+            residual_points=1200,
+            holdout_points=lambda: _grid_points(*bg.holdout_axes()),
+            data=(
+                DataTerm("initial", ((-1, 0.0, lambda X: bg.burgers_initial(X[:, 0])),), 100),
+                DataTerm("boundary", ((0, -1.0, _zeros), (0, 1.0, _zeros)), 100),
             ),
             oracle_name="burgers_reference",
         )
     elif name == "darcy":
         field_r = k_field if k_field is not None else dc.default_permeability()
+        axis = np.linspace(0.0, 1.0, dc.GRID_N)
         prob = PinnProblem(
             name=name,
-            spatial_dim=2,
-            time_dependent=False,
             lo=np.zeros(2),
             hi=np.ones(2),
             residual=_make_darcy_residual(field_r),
-            budget=SamplingBudget(residual=dc.GRID_N * dc.GRID_N, fixed_grid=True),
-            sigma_default=1e-3,
+            residual_points=dc.GRID_N * dc.GRID_N,
+            holdout_points=lambda: _grid_points(axis, axis),
+            fixed_grid=True,
             transform=dc.darcy_transform,
             oracle_name="darcy_reference",
         )
     else:
         raise KeyError(f"unknown problem {name!r}")
 
-    if sigma is not None:
-        prob = replace(prob, sigma_default=sigma)
-    if weights is not None:
-        prob = replace(prob, weights=weights)
-    if budget is not None:
-        prob = replace(prob, budget=budget)
-    if sample_margin:
-        prob = replace(prob, sample_margin=sample_margin)
+    points = points or {}
+    weights = weights or {}
+    data = tuple(
+        replace(term, points=points.get(term.name) or term.points, weight=weights.get(term.name, term.weight))
+        for term in prob.data
+    )
+    prob = replace(
+        prob,
+        residual_points=points.get("residual") or prob.residual_points,
+        data=data,
+        sigma_default=sigma or prob.sigma_default,
+        sample_margin=sample_margin,
+    )
     if prob.oracle_name is not None and oracle_dir is not None:
         path = Path(oracle_dir) / f"{prob.oracle_name}.txt"
         if path.exists():
@@ -246,15 +248,6 @@ def get_problem(
 
 
 PROBLEM_NAMES = ("black-scholes", "hjb", "burgers", "darcy")
-
-
-def reference_solution(problem: PinnProblem, points: np.ndarray) -> np.ndarray:
-    if problem.reference is None:
-        raise OracleNotBuilt(
-            f"reference for {problem.name!r} is not available; run `oracle build` "
-            "and pass oracle_dir to get_problem"
-        )
-    return np.asarray(problem.reference(np.atleast_2d(points)), dtype=float)
 
 
 _HOLDOUT_REFERENCE: dict[str, np.ndarray] = {}
@@ -273,7 +266,12 @@ def holdout_reference(problem: PinnProblem) -> tuple[np.ndarray, np.ndarray]:
     points = problem.holdout_points()
     ref = _HOLDOUT_REFERENCE.get(problem.name)
     if ref is None:
-        ref = reference_solution(problem, points)
+        if problem.reference is None:
+            raise OracleNotBuilt(
+                f"reference for {problem.name!r} is not available; run `oracle build` "
+                "and pass oracle_dir to get_problem"
+            )
+        ref = np.asarray(problem.reference(points), dtype=float)
         if problem.oracle_name is None:  # a closed form, fixed by the problem name
             ref.flags.writeable = False
             _HOLDOUT_REFERENCE[problem.name] = ref
@@ -286,34 +284,24 @@ def holdout_reference(problem: PinnProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_batch(problem: PinnProblem, seed: int, step: int = 0) -> dict[str, np.ndarray]:
-    """Draw the per-step collocation/data points; keyed by (seed, step)."""
+    """Draw the per-step points, keyed by (seed, step): the residual centers,
+    then per data term its sides' points, stacked in side order."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, step)))
-    out: dict[str, np.ndarray] = {}
-    lo, hi = problem.lo, problem.hi
-    if problem.sample_margin:
-        span = hi - lo
-        lo = lo + problem.sample_margin * span
-        hi = hi - problem.sample_margin * span
-    if problem.budget.fixed_grid:
+    inset = problem.sample_margin * (problem.hi - problem.lo)
+    lo, hi = problem.lo + inset, problem.hi - inset
+    n = problem.residual_points
+    if problem.fixed_grid:
         grid = problem.holdout_points()
-        n = problem.budget.residual
-        if n >= len(grid):
-            out["residual"] = grid
-        else:
-            out["residual"] = grid[rng.choice(len(grid), size=n, replace=False)]
+        out = {"residual": grid if n >= len(grid) else grid[rng.choice(len(grid), size=n, replace=False)]}
     else:
-        out["residual"] = rng.uniform(lo, hi, size=(problem.budget.residual, problem.input_dim))
-    if problem.budget.initial and problem.initial_time is not None:
-        pts = rng.uniform(lo, hi, size=(problem.budget.initial, problem.input_dim))
-        pts[:, -1] = problem.initial_time
-        out["initial"] = pts
-    if problem.budget.boundary and problem.boundary_sides:
+        out = {"residual": rng.uniform(lo, hi, size=(n, problem.input_dim))}
+    for term in problem.data:
         sides = []
-        for coord, value, _ in problem.boundary_sides:
-            pts = rng.uniform(lo, hi, size=(problem.budget.boundary, problem.input_dim))
+        for coord, value, _ in term.sides:
+            pts = rng.uniform(lo, hi, size=(term.points, problem.input_dim))
             pts[:, coord] = value
             sides.append(pts)
-        out["boundary"] = np.concatenate(sides)
+        out[term.name] = np.concatenate(sides)
     return out
 
 
@@ -322,14 +310,14 @@ class StepInputs:
     """Everything a loss query at one (seed, step) needs besides the network.
 
     `points` stacks the Stein evaluation points of the residual centers, then
-    of each data term's centers; `data` holds per data term its name, its
+    of each data term's centers; `data` holds per data term the term, its
     rows among the centers and its target values.
     """
 
     plan: SteinPlan
     points: np.ndarray  # (centers * plan.n_queries, input_dim)
     residual: np.ndarray  # residual centers, the first rows of the centers
-    data: tuple  # (term name, slice of the centers, target values)
+    data: tuple  # (DataTerm, slice of the centers, target values)
 
 
 def step_inputs(problem: PinnProblem, stein_cfg: SteinConfig, batch_seed: int, step: int = 0) -> StepInputs:
@@ -338,20 +326,12 @@ def step_inputs(problem: PinnProblem, stein_cfg: SteinConfig, batch_seed: int, s
     plan = SteinPlan(stein_cfg, problem.input_dim, call_index=step)
     data = []
     pos = len(batch["residual"])
-    if "initial" in batch:
-        n = len(batch["initial"])
-        data.append(("initial", slice(pos, pos + n), problem.initial_target(batch["initial"])))
-        pos += n
-    if "boundary" in batch:
-        per_side = problem.budget.boundary
-        targets = np.concatenate(
-            [
-                side_target(batch["boundary"][i * per_side : (i + 1) * per_side])
-                for i, (_, _, side_target) in enumerate(problem.boundary_sides)
-            ]
-        )
-        data.append(("boundary", slice(pos, pos + len(targets)), targets))
-    centers = np.concatenate([batch[k] for k in ("residual", "initial", "boundary") if k in batch])
+    for term in problem.data:
+        sides = batch[term.name].reshape(len(term.sides), term.points, problem.input_dim)
+        targets = np.concatenate([target(pts) for (_, _, target), pts in zip(term.sides, sides)])
+        data.append((term, slice(pos, pos + len(targets)), targets))
+        pos += len(targets)
+    centers = np.concatenate(list(batch.values()))
     return StepInputs(plan, plan.eval_points(centers), batch["residual"], tuple(data))
 
 
@@ -372,21 +352,16 @@ def pinn_loss(
     """
     if inputs is None:
         inputs = step_inputs(problem, stein_cfg, batch_seed, step)
-    plan = inputs.plan
     values = np.asarray(solution(inputs.points), dtype=float).reshape(-1)  # the (P*n,) layout combine() expects
 
     parts = [(slice(0, len(inputs.residual)), ("value", "first", "second"))]
     parts += [(rows, ("value",)) for _, rows, _ in inputs.data]
-    bundle, *data = plan.combine(values, parts)
+    bundle, *data = inputs.plan.combine(values, parts)
     r = problem.residual(bundle, inputs.residual)
     terms = {"residual": float(np.mean(r**2))}
-    for (name, _, target), u in zip(inputs.data, data):
-        terms[name] = float(np.mean((u["value"] - target) ** 2))
-
-    total = (
-        terms["residual"]
-        + problem.weights.lambda0 * terms.get("initial", 0.0)
-        + problem.weights.lambdab * terms.get("boundary", 0.0)
-    )
-    terms["total"] = float(total)
-    return float(total), terms
+    total = terms["residual"]
+    for (term, _, target), u in zip(inputs.data, data):
+        terms[term.name] = float(np.mean((u["value"] - target) ** 2))
+        total += term.weight * terms[term.name]
+    terms["total"] = total
+    return total, terms

@@ -4,7 +4,7 @@ A size-n mesh carries n(n-1)/2 programmable rotators.  Placements are listed
 stage by stage: stage s couples waveguide pairs (i, i+1) with i = s mod 2,
 s mod 2 + 2, ...  The realized matrix is
 
-    U(phases) = diag(D) * S_{n-1} * ... * S_1 * S_0,
+    U(phases) = S_{n-1} * ... * S_1 * S_0,
 
 where S_s applies the stage's disjoint 2x2 rotations
 
@@ -77,22 +77,15 @@ def stage_neighbors(n: int) -> np.ndarray:
     return np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
 
 
-def mesh_matrices(phases: np.ndarray, diagonal: np.ndarray | None = None) -> np.ndarray:
-    """(B, n(n-1)/2) phases -> (B, n, n) realized orthogonal matrices, C-contiguous.
-
-    `diagonal`, broadcastable to (B, n), is the output sign/phase screen;
-    None means +1 on every row.
-    """
+def mesh_matrices(phases: np.ndarray) -> np.ndarray:
+    """(B, n(n-1)/2) phases -> (B, n, n) realized orthogonal matrices, C-contiguous."""
     phases = np.asarray(phases, dtype=float)
     n_rot = phases.shape[1]
     n = int(round((1.0 + np.sqrt(1.0 + 8.0 * n_rot)) / 2.0))
     if n * (n - 1) // 2 != n_rot:
         raise ValueError(f"{n_rot} phases do not fill a universal mesh")
     # the copy starts once the stage loop's tables and temporary are freed
-    out = np.ascontiguousarray(_batch_last_meshes(phases, n).transpose(2, 0, 1))
-    if diagonal is not None:
-        out *= np.asarray(diagonal, dtype=float)[..., :, None]
-    return out
+    return np.ascontiguousarray(_batch_last_meshes(phases, n).transpose(2, 0, 1))
 
 
 def _batch_last_meshes(phases: np.ndarray, n: int) -> np.ndarray:
@@ -128,15 +121,12 @@ class MziMesh:
 
     size: int
     phases: np.ndarray
-    diagonal: np.ndarray | None = None  # sign/phase screen, defaults to +1
 
     def __post_init__(self):
         want = self.size * (self.size - 1) // 2
         self.phases = np.asarray(self.phases, dtype=float)
         if self.phases.shape != (want,):
             raise ValueError(f"expected {want} phases, got {self.phases.shape}")
-        if self.diagonal is None:
-            self.diagonal = np.ones(self.size)
 
     @classmethod
     def random(cls, size: int, rng: np.random.Generator) -> "MziMesh":
@@ -152,4 +142,4 @@ class MziMesh:
         phases = self.phases if phases is None else np.asarray(phases, dtype=float)
         if phases.shape != self.phases.shape:
             raise ValueError(f"expected {self.phases.shape} phases, got {phases.shape}")
-        return mesh_matrices(phases[None], self.diagonal)[0]
+        return mesh_matrices(phases[None])[0]

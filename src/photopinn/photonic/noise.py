@@ -2,7 +2,7 @@
 
 Effective phases are produced from programmed ones in this order:
 
-    quantize to b bits on [0, 2*pi)  ->  per-device gain (gamma + dgamma)/gamma
+    quantize to b bits on [0, 2*pi)  ->  per-device gain 1 + dgamma
     ->  crosstalk coupling between adjacent rotators  ->  + frozen phase bias.
 
 Gain deviations and biases are drawn once per device from the model seed and
@@ -24,7 +24,6 @@ TWO_PI = 2.0 * np.pi
 @dataclass(frozen=True)
 class NoiseModel:
     bits: int | None = 8  # None disables quantization
-    gamma: float = 1.0
     gamma_std: float = 0.002
     crosstalk: float = 0.005  # coupling onto adjacent rotators
     phase_bias: bool = False
@@ -46,7 +45,7 @@ class NoiseModel:
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, n_phases)))
         dgamma = rng.normal(0.0, self.gamma_std, size=n_phases)
         bias = rng.uniform(0.0, TWO_PI, size=n_phases) if self.phase_bias else np.zeros(n_phases)
-        return FrozenNoise(gain=(self.gamma + dgamma) / self.gamma, bias=bias)
+        return FrozenNoise(gain=1.0 + dgamma, bias=bias)
 
 
 @dataclass(frozen=True)

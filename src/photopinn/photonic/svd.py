@@ -24,15 +24,11 @@ def block_phase_count(m: int, n: int) -> int:
     return m * (m - 1) // 2 + min(m, n) + n * (n - 1) // 2
 
 
-def svd_matrices(
-    phases: np.ndarray, m: int, n: int, scale, u_diagonal=None, v_diagonal=None
-) -> np.ndarray:
+def svd_matrices(phases: np.ndarray, m: int, n: int, scale) -> np.ndarray:
     """(B, block_phase_count(m, n)) block phases -> (B, m, n) realized blocks.
 
-    `scale` is the singular-value scale s, one per block or shared; the mesh
-    diagonals, broadcastable to (B, m) and (B, n), scale the rows of U and V
-    as in `mesh_matrices` (None is +1).  Square blocks realize their U and V
-    meshes in one `mesh_matrices` batch of 2B.
+    `scale` is the singular-value scale s, one per block or shared.  Square
+    blocks realize their U and V meshes in one `mesh_matrices` batch of 2B.
     """
     nu = m * (m - 1) // 2
     k = min(m, n)
@@ -40,10 +36,6 @@ def svd_matrices(
         u, v = np.split(mesh_matrices(np.concatenate([phases[:, :nu], phases[:, nu + k :]])), 2)
     else:
         u, v = mesh_matrices(phases[:, :nu]), mesh_matrices(phases[:, nu + k :])
-    if u_diagonal is not None:
-        u *= np.asarray(u_diagonal, dtype=float)[..., :, None]
-    if v_diagonal is not None:
-        v *= np.asarray(v_diagonal, dtype=float)[..., :, None]
     d = np.asarray(scale, dtype=float)[..., None] * np.cos(phases[:, nu : nu + k])
     # U @ Sigma with Sigma's zero padding kept, so the product sums the same terms
     us = u[:, :, :k] * d[:, None, :]
@@ -90,6 +82,4 @@ class SvdBlock:
         if phases.shape != (self.n_phases(),):
             raise ValueError(f"expected {self.n_phases()} phases, got {phases.shape}")
         m, n = self.shape
-        return svd_matrices(
-            phases[None], m, n, self.scale, self.u_mesh.diagonal, self.v_mesh.diagonal
-        )[0]
+        return svd_matrices(phases[None], m, n, self.scale)[0]

@@ -23,7 +23,7 @@ import numpy as np
 from .config import RunConfig, parse_config, serialize_config
 from .models import Architecture, architecture, build_model, build_phase_model
 from .pde import get_problem, holdout_reference, pinn_loss, relative_l2, step_inputs
-from .pde.problems import LossWeights, PinnProblem, SamplingBudget
+from .pde.problems import PinnProblem
 from .photonic.noise import NoiseModel
 from .quadrature import SteinConfig
 from .zo import AdamState, DivergenceError, ParamView, ZoConfig, rge_estimate, zo_adam_step, zo_sgd_step
@@ -83,27 +83,22 @@ class RunReport:
 
 
 def config_problem(cfg: RunConfig) -> PinnProblem:
-    budget = None
-    if cfg.problem_residual_points or cfg.problem_initial_points or cfg.problem_boundary_points:
-        base = get_problem(cfg.problem_name).budget
-        budget = SamplingBudget(
-            residual=cfg.problem_residual_points or base.residual,
-            initial=cfg.problem_initial_points or base.initial,
-            boundary=cfg.problem_boundary_points or base.boundary,
-            fixed_grid=base.fixed_grid,
-        )
     return get_problem(
         cfg.problem_name,
-        sigma=cfg.problem_sigma or None,
-        weights=LossWeights(cfg.problem_lambda0, cfg.problem_lambdab),
-        budget=budget,
+        sigma=cfg.problem_sigma,
+        points={
+            "residual": cfg.problem_residual_points,
+            "initial": cfg.problem_initial_points,
+            "boundary": cfg.problem_boundary_points,
+        },
+        weights={"initial": cfg.problem_lambda0, "boundary": cfg.problem_lambdab},
         oracle_dir=cfg.run_oracle_dir,
         sample_margin=cfg.problem_margin,
     )
 
 
 def config_stein(cfg: RunConfig, problem: PinnProblem, seed: int) -> SteinConfig:
-    sigma = cfg.problem_sigma or problem.sigma_default
+    sigma = problem.sigma_default
     if cfg.loss_mode == "sg":
         return SteinConfig(sigma=sigma, mode="sparse-grid", level=cfg.loss_level)
     return SteinConfig(sigma=sigma, mode="monte-carlo", samples=cfg.loss_samples, seed=seed)

@@ -108,6 +108,11 @@ def test_train_with_invalid_zo_or_log_value_exits_2_before_writing(key, raw, mes
         ("problem.residual_points", "-5", "problem.residual_points must be >= 0, got -5"),
         ("problem.initial_points", "-1", "problem.initial_points must be >= 0, got -1"),
         ("problem.boundary_points", "-1", "problem.boundary_points must be >= 0, got -1"),
+        ("problem.lambda0", "-1", "problem.lambda0 must be >= 0, got -1.0"),
+        ("problem.lambdab", "nan", "problem.lambdab must be >= 0, got nan"),
+        ("problem.margin", "0.7", "problem.margin must be in [0, 0.5), got 0.7"),
+        ("problem.margin", "0.5", "problem.margin must be in [0, 0.5), got 0.5"),
+        ("problem.margin", "-0.1", "problem.margin must be in [0, 0.5), got -0.1"),
     ],
     ids=[
         "noise.bits",
@@ -117,6 +122,11 @@ def test_train_with_invalid_zo_or_log_value_exits_2_before_writing(key, raw, mes
         "problem.residual_points",
         "problem.initial_points",
         "problem.boundary_points",
+        "problem.lambda0-negative",
+        "problem.lambdab-nan",
+        "problem.margin-above-half",
+        "problem.margin-half",
+        "problem.margin-negative",
     ],
 )
 def test_train_with_invalid_noise_or_point_count_exits_2_before_writing(key, raw, message, tmp_path, capsys):

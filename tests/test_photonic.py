@@ -78,10 +78,6 @@ def test_batched_mesh_equals_per_rotator_loop(n, rng):
         got = mesh_matrices(phases)
         assert got.shape == (batch, n, n) and got.flags.c_contiguous
         assert np.array_equal(u64(got), u64(want))
-        diagonal = rng.choice([-1.0, 1.0], size=(batch, n)) * rng.uniform(0.5, 2.0, size=(batch, n))
-        assert np.array_equal(u64(mesh_matrices(phases, diagonal)), u64(diagonal[:, :, None] * want))
-        shared = diagonal[0]
-        assert np.array_equal(u64(mesh_matrices(phases, shared)), u64(shared[:, None] * want))
 
 
 def test_mesh_bytes_keep_signed_zeros(rng):
@@ -107,12 +103,6 @@ def test_two_mode_mesh_is_one_rotation():
     assert np.array_equal(MziMesh(2, [0.3]).matrix(), mzi_rotation(0.3))
 
 
-def test_mesh_diagonal_scales_rows(rng):
-    diag = np.array([1.0, -1.0, 1.0, -1.0])
-    mesh = MziMesh(4, rng.uniform(0.0, TWO_PI, size=6), diagonal=diag)
-    assert np.array_equal(mesh.matrix(), diag[:, None] * reference_mesh(mesh.phases, 4))
-
-
 @pytest.mark.parametrize("n", range(2, 10))
 def test_stage_neighbors_pair_consecutive_rotators_of_one_stage(n):
     by_stage = {}
@@ -127,33 +117,17 @@ def test_stage_neighbors_pair_consecutive_rotators_of_one_stage(n):
 )
 def test_svd_block_equals_explicit_u_sigma_vt(m, n, rng):
     """Byte for byte, one block and batches of 1, 7 and 64: square blocks
-    realize U and V in one mesh batch, rectangular ones in two; with or
-    without mesh diagonals."""
+    realize U and V in one mesh batch, rectangular ones in two."""
     block = SvdBlock.random(m, n, 0.7, rng)
     phases = np.concatenate([block.u_mesh.phases, block.sigma_phases, block.v_mesh.phases])
     assert len(phases) == block.n_phases() == block_phase_count(m, n)
     assert np.array_equal(u64(block.matrix()), u64(explicit_block(phases, m, n, 0.7)))
-    nu, k = m * (m - 1) // 2, min(m, n)
     for batch in (1, 7, 64):
         phases = rng.uniform(-TWO_PI, 2.0 * TWO_PI, size=(batch, block_phase_count(m, n)))
         scales = rng.uniform(0.5, 2.0, size=batch)
         got = svd_matrices(phases, m, n, scales)
         want = np.stack([explicit_block(phases[b], m, n, scales[b]) for b in range(batch)])
         assert np.array_equal(u64(got), u64(want))
-        u_diag = rng.choice([-1.0, 1.0], size=(batch, m))
-        v_diag = rng.choice([-1.0, 1.0], size=n)
-        for ud, vd in [(u_diag, v_diag), (u_diag, None), (None, v_diag)]:
-            got = svd_matrices(phases, m, n, scales, ud, vd)
-            for b in range(batch):
-                sig = np.zeros((m, n))
-                sig[np.arange(k), np.arange(k)] = scales[b] * np.cos(phases[b, nu : nu + k])
-                u = reference_mesh(phases[b, :nu], m)
-                v = reference_mesh(phases[b, nu + k :], n)
-                if ud is not None:
-                    u = ud[b][:, None] * u
-                if vd is not None:
-                    v = vd[:, None] * v
-                assert np.array_equal(u64(got[b]), u64(u @ sig @ v))
 
 
 def test_dense_layer_assembles_block_grid_row_major(rng):
