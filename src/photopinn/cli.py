@@ -179,15 +179,15 @@ def _cmd_cost(args) -> int:
 
 def _cmd_mzi(args) -> int:
     from .config import load_config
-    from .photonic.counting import model_mzi_counts
+    from .models import phase_layers
+    from .photonic.cost import mzi_count
     from .training import config_architecture
 
-    total = 0
+    counts = [mzi_count(layer) for layer in phase_layers(config_architecture(load_config(args.model)))]
     print("layer,mzi_count")
-    for name, count in model_mzi_counts(config_architecture(load_config(args.model)).layers):
-        print(f"{name},{count}")
-        total += count
-    print(f"total,{total}")
+    for li, count in enumerate(counts):
+        print(f"layer{li},{count}")
+    print(f"total,{sum(counts)}")
     return 0
 
 

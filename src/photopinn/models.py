@@ -2,7 +2,8 @@
 
 `architecture()` is the only source of layer shapes, tensor-train folds and
 input/output conditioning.  The weight-domain factory (`build_model`), the
-phase-domain factory (`build_phase_model`), the parameter and MZI counts and
+phase layers (`phase_layers`, which `build_phase_model` trains and whose
+phases `photonic.cost.mzi_count` counts as devices), the parameter counts and
 the checkpoints are all derived from its result:
 
     black-scholes : 2 -> 128 -> 128 -> 1, tanh; hidden fold (4,4,8)x(8,4,4)
@@ -31,7 +32,7 @@ from .photonic.model import PhotonicDense, PhotonicMlp, PhotonicTT, random_phase
 from .photonic.noise import NoiseModel
 from .tensortrain import TTLayout, tt_init
 
-__all__ = ["Architecture", "architecture", "build_model", "build_phase_model"]
+__all__ = ["Architecture", "architecture", "build_model", "phase_layers", "build_phase_model"]
 
 # HJB (input fold, hidden fold) per width, each as (in_factors, out_factors)
 _HJB_FOLDS = {
@@ -137,6 +138,11 @@ def build_model(
     return TensorizedMlp(layers, params, arch.activation, arch.input_shift, arch.input_scale, arch.output_scale)
 
 
+def phase_layers(arch: Architecture) -> list:
+    """The photonic realization of each layer: a PhotonicTT per TTLayout, else a PhotonicDense."""
+    return [PhotonicTT(l) if isinstance(l, TTLayout) else PhotonicDense(*l) for l in arch.layers]
+
+
 def build_phase_model(
     problem: str,
     tensorized: bool = True,
@@ -147,7 +153,7 @@ def build_phase_model(
 ) -> PhotonicMlp:
     """Phase-domain model: every layer draws its phases from default_rng(seed) in draw order."""
     arch = architecture(problem, tensorized, rank, width)
-    layers = [PhotonicTT(l) if isinstance(l, TTLayout) else PhotonicDense(*l) for l in arch.layers]
+    layers = phase_layers(arch)
     rng = np.random.default_rng(seed)
     phases = [None] * len(layers)
     for k in arch.draw_order:

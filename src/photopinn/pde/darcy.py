@@ -56,8 +56,8 @@ def darcy_transform(net):
     return solution
 
 
-def darcy_fd_solve(k_field: Raster, n: int = GRID_N, forcing: float = FORCING) -> Raster:
-    """Direct sparse solve of div(k grad u) = forcing with u = 0 on the boundary.
+def darcy_fd_solve(k_field: Raster, n: int = GRID_N) -> Raster:
+    """Direct sparse solve of div(k grad u) = FORCING with u = 0 on the boundary.
 
     Five-point flux discretization on an n x n node grid over [0, 1]^2;
     face permeabilities are harmonic means of the cell values at the
@@ -79,7 +79,7 @@ def darcy_fd_solve(k_field: Raster, n: int = GRID_N, forcing: float = FORCING) -
     idx[1:-1, 1:-1] = np.arange(m * m).reshape(m, m)
 
     rows, cols, vals = [], [], []
-    rhs = np.full(m * m, forcing)
+    rhs = np.full(m * m, FORCING)
     for i in range(1, n - 1):
         for j in range(1, n - 1):
             me = idx[i, j]
@@ -103,7 +103,7 @@ def darcy_fd_solve(k_field: Raster, n: int = GRID_N, forcing: float = FORCING) -
     return Raster(values=u, extent=(0.0, 1.0, 0.0, 1.0))
 
 
-def darcy_discrete_residual(u: Raster, k_field: Raster, forcing: float = FORCING) -> float:
+def darcy_discrete_residual(u: Raster, k_field: Raster) -> float:
     """Max abs defect of the discrete operator on the interior; solver check."""
     n = u.rows
     h = 1.0 / (n - 1)
@@ -125,4 +125,4 @@ def darcy_discrete_residual(u: Raster, k_field: Raster, forcing: float = FORCING
         + kn * (v[1:-1, 2:] - v[1:-1, 1:-1])
         - ks * (v[1:-1, 1:-1] - v[1:-1, :-2])
     ) / h**2
-    return float(np.max(np.abs(lap - forcing)))
+    return float(np.max(np.abs(lap - FORCING)))

@@ -13,7 +13,7 @@ from .raster import Raster, save_raster
 __all__ = ["oracle_build"]
 
 
-def oracle_build(name: str, oracle_dir, k_field: Raster | None = None, verbose: bool = False) -> Path:
+def oracle_build(name: str, oracle_dir, verbose: bool = False) -> Path:
     """Compute and cache the gridded reference for 'burgers' or 'darcy'.
 
     Burgers: Cole-Hopf quadrature on the 256 x 101 hold-out grid.
@@ -33,7 +33,7 @@ def oracle_build(name: str, oracle_dir, k_field: Raster | None = None, verbose: 
         save_raster(raster=raster, path=path, meta={"nu": bg.NU, "method": "cole-hopf-quadrature"})
         return path
     if name == "darcy":
-        field = k_field if k_field is not None else dc.default_permeability()
+        field = dc.default_permeability()
         u = dc.darcy_fd_solve(field)
         defect = dc.darcy_discrete_residual(u, field)
         if defect > 1e-8:

@@ -151,7 +151,6 @@ def get_problem(
     sigma: float = 0.0,
     points: dict[str, int] | None = None,
     weights: dict[str, float] | None = None,
-    k_field: Raster | None = None,
     oracle_dir: str | Path | None = None,
     sample_margin: float = 0.0,
 ) -> PinnProblem:
@@ -210,13 +209,12 @@ def get_problem(
             oracle_name="burgers_reference",
         )
     elif name == "darcy":
-        field_r = k_field if k_field is not None else dc.default_permeability()
         axis = np.linspace(0.0, 1.0, dc.GRID_N)
         prob = PinnProblem(
             name=name,
             lo=np.zeros(2),
             hi=np.ones(2),
-            residual=_make_darcy_residual(field_r),
+            residual=_make_darcy_residual(dc.default_permeability()),
             residual_points=dc.GRID_N * dc.GRID_N,
             holdout_points=lambda: _grid_points(axis, axis),
             fixed_grid=True,

@@ -12,7 +12,8 @@ ops run over hundreds of contiguous values (the meshes) rather than over a
 block's 8 columns, and it updates the stages in place, with no fresh
 temporary per op; the more meshes per call, the more of each op's fixed
 cost they share.  Biases stay digital.  Storage, change detection and
-reuse are `nets.Mlp`'s; a layer's parameters are its phases.
+reuse are `nets.Mlp`'s; a layer's parameters are its phases.  Only this
+module maps a layer to SVD blocks; `cost.mzi_count` counts the same layers.
 
 Crosstalk adjacency: rotators that are neighbors within the same stage of the
 same mesh couple with the model's coefficient; attenuator phases and
@@ -29,19 +30,12 @@ import numpy as np
 
 from ..nets import Mlp
 from ..tensortrain import TTCores, TTLayout, tt_forward, tt_reconstruct
-from .mesh import stage_neighbors
 from .noise import FrozenNoise, NoiseModel, apply_nonidealities
-from .svd import block_phase_count, svd_matrices
+from .svd import block_neighbors, block_phase_count, svd_matrices
 
 __all__ = ["PhotonicDense", "PhotonicTT", "PhotonicMlp", "DENSE_BLOCK_SIZE", "random_phases"]
 
 DENSE_BLOCK_SIZE = 8
-
-
-def _block_neighbors(m: int, n: int) -> np.ndarray:
-    """Stage-adjacent rotator pairs of one m x n block, as indices into its phases."""
-    v_offset = m * (m - 1) // 2 + min(m, n)
-    return np.concatenate([stage_neighbors(m), stage_neighbors(n) + v_offset])
 
 
 class PhotonicDense:
@@ -78,10 +72,9 @@ class PhotonicDense:
 class PhotonicTT:
     """TT layer with one rectangular SVD block per core; phases arrive as one vector."""
 
-    def __init__(self, layout: TTLayout, target_std: float | None = None):
+    def __init__(self, layout: TTLayout):
         self.layout = layout
-        if target_std is None:
-            target_std = (2.0 / (layout.rows + layout.cols)) ** 0.5
+        target_std = (2.0 / (layout.rows + layout.cols)) ** 0.5  # Glorot, as a dense layer
         per_core = (target_std**2 / np.prod(layout.ranks)) ** (1.0 / (2 * layout.L))
         self.block_shapes = []
         self.scales = []
@@ -174,6 +167,6 @@ def _layer_pairs(layer) -> np.ndarray:
     for (m, n), run in itertools.groupby(layer.block_shapes):
         size, count = block_phase_count(m, n), len(list(run))
         starts = pos + size * np.arange(count)
-        pairs.append((_block_neighbors(m, n) + starts[:, None, None]).reshape(-1, 2))
+        pairs.append((block_neighbors(m, n) + starts[:, None, None]).reshape(-1, 2))
         pos += size * count
     return np.concatenate(pairs)

@@ -5,7 +5,8 @@ Sigma is a bank of min(m, n) attenuator phases realizing singular values
 s * cos(phi) within [-s, s], where s is a fixed per-block scale chosen at
 construction.  Rectangular blocks truncate or zero-pad between the two mesh
 sizes.  A block's phase vector is the concatenation (U phases, Sigma phases,
-V phases).
+V phases); this module alone knows those offsets.  Every phase drives one
+device, so an m x n block has `block_phase_count(m, n)` MZIs.
 """
 
 from __future__ import annotations
@@ -14,14 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MziMesh, mesh_matrices
+from .mesh import MziMesh, mesh_matrices, stage_neighbors
 
-__all__ = ["SvdBlock", "svd_matrices", "block_phase_count"]
+__all__ = ["SvdBlock", "svd_matrices", "block_phase_count", "block_neighbors"]
 
 
 def block_phase_count(m: int, n: int) -> int:
     """Phases of one m x n block: both meshes plus min(m, n) attenuators."""
     return m * (m - 1) // 2 + min(m, n) + n * (n - 1) // 2
+
+
+def block_neighbors(m: int, n: int) -> np.ndarray:
+    """Stage-adjacent rotator pairs of one m x n block, as indices into its phases."""
+    v_offset = m * (m - 1) // 2 + min(m, n)
+    return np.concatenate([stage_neighbors(m), stage_neighbors(n) + v_offset])
 
 
 def svd_matrices(phases: np.ndarray, m: int, n: int, scale) -> np.ndarray:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .models import architecture, build_model
-from .photonic.cost import footprint, latency
-from .photonic.counting import dense_mzi_count, tt_mzi_count
+from .models import architecture, build_model, phase_layers
+from .photonic.cost import footprint, latency, mzi_count
+from .photonic.model import PhotonicDense, PhotonicTT
 from .quadrature import build_sparse_grid
-from .tensortrain import TTLayout, tt_param_count
+from .tensortrain import tt_param_count
 
 __all__ = ["reproduce_table", "TABLE_IDS"]
 
@@ -78,15 +78,11 @@ def _n_params(problem: str, tensorized: bool = True, rank: int = 2, width: int |
     return build_model(problem, tensorized, rank, width).n_params
 
 
-def _tt_layers(problem: str) -> list[TTLayout]:
-    return [layer for layer in architecture(problem).layers if isinstance(layer, TTLayout)]
-
-
 def _params_table():
     hjb_dense, hjb_tt = _n_params("hjb", False), _n_params("hjb")
     burgers_dense, burgers_tt = _n_params("burgers", False), _n_params("burgers")
     rows = [
-        _row("512x512 TT variables", tt_param_count(_tt_layers("hjb")[1]), 256, 0),
+        _row("512x512 TT variables", tt_param_count(architecture("hjb").layers[1]), 256, 0),
         _row("HJB standard params", hjb_dense, 274_433, 0),
         _row("HJB TT params (rank 2)", hjb_tt, 1_929, 0),
         _row("HJB compression ratio", round(hjb_dense / hjb_tt, 2), 142.27, 0),
@@ -110,11 +106,12 @@ def _params_table():
 
 def _mzi_table():
     def tt_total(problem):
-        return sum(tt_mzi_count(layout, wavelengths=8) for layout in _tt_layers(problem))
+        layers = phase_layers(architecture(problem))
+        return sum(mzi_count(layer, wavelengths=8) for layer in layers if isinstance(layer, PhotonicTT))
 
     rows = [
-        _row("dense 128x128 (any blocking)", dense_mzi_count(128, 128, 8), 16_384, 0),
-        _row("dense 64x64", dense_mzi_count(64, 64, 8), 4_096, 0),
+        _row("dense 128x128 (any blocking)", mzi_count(PhotonicDense(128, 128)), 16_384, 0),
+        _row("dense 64x64", mzi_count(PhotonicDense(64, 64)), 4_096, 0),
         _row("BS TT hidden (8-wavelength replication)", tt_total("black-scholes"), 384, 0),
     ]
     # whole-model published counts: convention for the dense input/output

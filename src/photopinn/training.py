@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .models import Architecture, architecture, build_model, build_phase_model
 from .pde import get_problem, holdout_reference, pinn_loss, relative_l2, step_inputs
 from .pde.problems import PinnProblem
@@ -82,8 +82,13 @@ class RunReport:
         return "\n".join(lines)
 
 
+# the problem.* keys that only a data term reads, and the term's name
+_TERM_KEYS = {"initial_points": "initial", "lambda0": "initial", "boundary_points": "boundary", "lambdab": "boundary"}
+
+
 def config_problem(cfg: RunConfig) -> PinnProblem:
-    return get_problem(
+    """The configured problem; a `problem.*` value it would ignore is a ConfigError."""
+    problem = get_problem(
         cfg.problem_name,
         sigma=cfg.problem_sigma,
         points={
@@ -95,6 +100,15 @@ def config_problem(cfg: RunConfig) -> PinnProblem:
         oracle_dir=cfg.run_oracle_dir,
         sample_margin=cfg.problem_margin,
     )
+    terms = {term.name for term in problem.data}
+    unused = {key: f"it has no {name} term" for key, name in _TERM_KEYS.items() if name not in terms}
+    if problem.fixed_grid and not problem.data:
+        unused["margin"] = "its residual points come from a fixed grid"
+    for key, reason in unused.items():
+        value = getattr(cfg, f"problem_{key}")
+        if value != getattr(RunConfig, f"problem_{key}"):  # the field's default
+            raise ConfigError(f"problem.{key} = {value!r} has no effect on {problem.name}: {reason}")
+    return problem
 
 
 def config_stein(cfg: RunConfig, problem: PinnProblem, seed: int) -> SteinConfig:

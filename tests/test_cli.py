@@ -1,7 +1,7 @@
 """Command-line exit codes and outputs, and the input errors behind them.
 
-MZI totals are pinned to the counts the per-layer-class counter gave before
-counting moved onto the architecture's layer list.
+MZI totals are pinned values: one device per phase of the phase layers a
+run of each problem and layer kind trains.
 """
 
 import pytest
@@ -133,6 +133,24 @@ def test_train_with_invalid_noise_or_point_count_exits_2_before_writing(key, raw
     cfg = _write_config(tmp_path, f"domain = phase\n{key} = {raw}\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "problem,key,raw,message",
+    [
+        ("hjb", "problem.initial_points", "7", "problem.initial_points = 7 has no effect on hjb: it has no initial"),
+        ("hjb", "problem.lambda0", "5", "problem.lambda0 = 5.0 has no effect on hjb: it has no initial term"),
+        ("darcy", "problem.boundary_points", "3", "problem.boundary_points = 3 has no effect on darcy: it has no"),
+        ("darcy", "problem.lambdab", "0", "problem.lambdab = 0.0 has no effect on darcy: it has no boundary term"),
+        ("darcy", "problem.margin", "0.1", "problem.margin = 0.1 has no effect on darcy: its residual points come"),
+    ],
+    ids=["hjb-initial_points", "hjb-lambda0", "darcy-boundary_points", "darcy-lambdab", "darcy-margin"],
+)
+def test_train_with_a_key_the_problem_ignores_exits_2_before_writing(problem, key, raw, message, tmp_path, capsys):
+    cfg = _write_config(tmp_path, f"problem.name = {problem}\n{key} = {raw}\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs"), "--iterations", "1"]) == EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -24,11 +24,13 @@ from photopinn.photonic import (
     quantize_phases,
     random_phases,
     stage_neighbors,
+    mzi_count,
     svd_matrices,
 )
+from photopinn.models import phase_layers
 from photopinn.photonic.model import _layer_pairs
 from photopinn.tensortrain import TTLayout, tt_reconstruct
-from photopinn.training import _save_model, build_run_model, load_model, train
+from photopinn.training import _save_model, build_run_model, config_architecture, load_model, train
 
 TWO_PI = 2.0 * np.pi
 
@@ -285,3 +287,17 @@ def test_layer_pairs_equal_the_per_block_loop(problem, tensorized):
     model = build_run_model(RunConfig(problem_name=problem, domain="phase", model_tensorized=tensorized), 0)
     for layer in model.layers:
         assert np.array_equal(_layer_pairs(layer), reference_layer_pairs(layer))
+
+
+@pytest.mark.parametrize("tensorized", [True, False], ids=["tt", "dense"])
+@pytest.mark.parametrize("problem", ["black-scholes", "hjb", "burgers", "darcy"])
+def test_mzi_counts_are_the_phase_counts_of_the_trained_layers(problem, tensorized):
+    cfg = RunConfig(problem_name=problem, domain="phase", model_tensorized=tensorized)
+    model = build_run_model(cfg, 0)
+    phases = [stop - start for name, start, stop in model.segments() if name.endswith(".phases")]
+    layers = phase_layers(config_architecture(cfg))
+    assert [mzi_count(layer) for layer in layers] == phases
+    assert sum(phases) == model.n_phases
+    if problem == "burgers" and tensorized:  # rectangular core blocks: (5, 8) and (8, 5), 43 phases each
+        assert [layer.block_shapes for layer in layers[1:4]] == [[(5, 8), (10, 10), (8, 5)]] * 3
+        assert phases[1:4] == [43 + 100 + 43] * 3

@@ -126,10 +126,23 @@ def test_total_is_residual_plus_weighted_initial_plus_weighted_boundary(name):
 
 @pytest.mark.parametrize("name", ["hjb", "darcy"])
 def test_a_problem_without_data_terms_ignores_their_weights(name):
-    cfg = RunConfig(problem_name=name, problem_residual_points=50, problem_lambda0=3.0, problem_lambdab=4.0)
-    problem = config_problem(cfg)
-    _, terms = pinn_loss(poly, problem, config_stein(cfg, problem, 3), batch_seed=3, step=0)
+    problem = get_problem(name, points={"residual": 50}, weights={"initial": 3.0, "boundary": 4.0})
+    stein = config_stein(RunConfig(problem_name=name), problem, 3)
+    _, terms = pinn_loss(poly, problem, stein, batch_seed=3, step=0)
     assert list(terms) == ["residual", "total"] and terms["total"] == terms["residual"]
+
+
+@pytest.mark.parametrize("name", ["hjb", "darcy"])
+def test_keys_a_problem_ignores_are_accepted_at_their_defaults(name):
+    cfg = RunConfig(
+        problem_name=name,
+        problem_initial_points=0,
+        problem_boundary_points=0,
+        problem_lambda0=1.0,
+        problem_lambdab=1.0,
+        problem_margin=0.0,
+    )
+    assert config_problem(cfg).data == ()
 
 
 @pytest.mark.parametrize("sigma,want", [(0.0, 0.1), (0.02, 0.02)])

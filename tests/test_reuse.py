@@ -29,14 +29,15 @@ _CASES = [
 
 
 def _tiny_config(problem, domain, tensorized):
+    data_points = 2 if problem in ("black-scholes", "burgers") else 0  # HJB and Darcy have no data terms
     return RunConfig(
         problem_name=problem,
         domain=domain,
         model_tensorized=tensorized,
         model_width=128 if problem == "hjb" else 0,
         problem_residual_points=3 if problem == "hjb" else 6,
-        problem_initial_points=2,
-        problem_boundary_points=2,
+        problem_initial_points=data_points,
+        problem_boundary_points=data_points,
         run_seed=SEED,
     )
 
