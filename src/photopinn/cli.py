@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError
+from .pde.oracles import ORACLES
 from .pde.problems import OracleNotBuilt
 from .photonic.cost import ARCHITECTURES
 from .quadrature import QuadratureError
@@ -34,32 +35,39 @@ def main(argv=None) -> int:
     p_train.add_argument("--out", default=None, help="override run.out_dir")
     p_train.add_argument("--iterations", type=int, default=None, help="override opt.iterations")
     p_train.add_argument("--quiet", action="store_true")
+    p_train.set_defaults(handler=_cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="hold-out metric and field dump for a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--oracle-dir", default="artifacts/oracles")
     p_eval.add_argument("--dump", default=None, help="write (x, u_exact, u_pred) CSV here")
+    p_eval.set_defaults(handler=_cmd_evaluate)
 
     p_grid = sub.add_parser("grid", help="print sparse-grid counts and dump nodes")
     p_grid.add_argument("--dim", type=int, required=True)
     p_grid.add_argument("--level", type=int, required=True)
     p_grid.add_argument("--out", default=None, help="write the node/weight table here")
+    p_grid.set_defaults(handler=_cmd_grid)
 
     p_oracle = sub.add_parser("oracle", help="reference-grid management")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
     p_ob = oracle_sub.add_parser("build", help="compute and cache a gridded reference")
-    p_ob.add_argument("--problem", required=True, choices=("burgers", "darcy"))
+    p_ob.add_argument("--problem", required=True, choices=tuple(ORACLES))
     p_ob.add_argument("--oracle-dir", default="artifacts/oracles")
+    p_ob.set_defaults(handler=_cmd_oracle)
 
     p_cost = sub.add_parser("cost", help="latency/footprint tables")
     p_cost.add_argument("--arch", default="all", choices=("all", *ARCHITECTURES))
+    p_cost.set_defaults(handler=_cmd_cost)
 
     p_mzi = sub.add_parser("mzi-count", help="per-layer MZI counts for a configured model")
     p_mzi.add_argument("--model", required=True, help="run config file describing the model")
+    p_mzi.set_defaults(handler=_cmd_mzi)
 
     p_rep = sub.add_parser("reproduce", help="compare against published numbers")
     p_rep.add_argument("--table", required=True, choices=TABLE_IDS)
     p_rep.add_argument("--run-dir", default=None)
+    p_rep.set_defaults(handler=_cmd_reproduce)
 
     p_model = sub.add_parser("model", help="model utilities")
     model_sub = p_model.add_subparsers(dest="model_command", required=True)
@@ -67,33 +75,14 @@ def main(argv=None) -> int:
     group = p_mi.add_mutually_exclusive_group(required=True)
     group.add_argument("--checkpoint")
     group.add_argument("--config")
+    p_mi.set_defaults(handler=_cmd_model)
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (ConfigError, QuadratureError, FileNotFoundError, OracleNotBuilt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-def _dispatch(args) -> int:
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "grid":
-        return _cmd_grid(args)
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    if args.command == "cost":
-        return _cmd_cost(args)
-    if args.command == "mzi-count":
-        return _cmd_mzi(args)
-    if args.command == "reproduce":
-        return _cmd_reproduce(args)
-    if args.command == "model":
-        return _cmd_model(args)
-    raise KeyError(args.command)
 
 
 def _cmd_train(args) -> int:

@@ -2,7 +2,9 @@
 
 File format: one `key = value` per line; a line whose first non-blank
 character is '#' is a comment, and a '#' anywhere else belongs to the value.
-Every key maps to one field of `RunConfig`; unknown keys are an error.
+Every key maps to one field of `RunConfig`; unknown keys are an error, and
+so is a key away from its default that the run would ignore, e.g. a
+`noise.*` key in the weight domain (checked by `training.config_problem`).
 Environment variables named PHOTOPINN_<KEY> (dots replaced by double
 underscores, upper-cased, e.g. PHOTOPINN_ZO__QUERIES) override file values;
 explicit function arguments override both.

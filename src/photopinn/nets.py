@@ -15,6 +15,12 @@ rows: each block passes through every layer before the next block starts,
 so an activation that is not kept is never larger than BLOCK_ROWS x width.
 Every block writes into buffers the forward's `PrefixCache` owns and
 recycles.
+
+What a forward keeps follows from its query alone.  On the previous call's
+rows, a query restarts at the first layer whose parameters or bias it
+changed, from the activation kept for it, and keeps that layer's output too
+exactly when some layer is unchanged: with three or more layers every
+per-tensor probe leaves one, no global probe does.  New rows keep nothing.
 """
 
 from __future__ import annotations
@@ -59,16 +65,9 @@ def _take(pool: dict, shape: tuple) -> np.ndarray:
 
 
 class PrefixCache:
-    """What one network's last forward left for its next: the input rows, a
-    copy of every bias, at most two activations, and the block buffers.
-
-    Per-tensor ZO probes change one layer at a time, so a probe on layer k
-    restarts from the kept input of layer k, and the first probe on layer
-    k + 1 recomputes layer k at the base parameters from that same input.
-    The output of that first recomputed layer is kept only once some
-    repeated-rows query has asked to restart above layer 0: under global
-    grouping every probe changes layer 0, so no query would read it, and
-    only the input of layer 0 is kept.
+    """What one network's last forward left for its next: the input rows, at
+    most two activations (kept by the rule in the module docstring), and the
+    block buffers.
 
     Memory: the kept activations are full-size (rows x width); every other
     intermediate lives in one of two block buffers (a layer's input and its
@@ -82,45 +81,35 @@ class PrefixCache:
     def __init__(self):
         self.rows: np.ndarray | None = None
         self.kept: dict[int, np.ndarray] = {}  # layer index -> the activation that feeds it
-        self._seen: dict = {}
         self._blocks: np.ndarray | None = None  # two flat block buffers, see the class docstring
-        self._deep = False  # whether a repeated-rows query has asked to restart above layer 0
-
-    def changed(self, key, value: np.ndarray) -> bool:
-        """Whether `value` differs from the copy recorded under `key`; records a new copy if so."""
-        old = self._seen.get(key)
-        if old is not None and _same_bits(old, value):
-            return False
-        self._seen[key] = np.array(value, copy=True)
-        return True
 
     def _block(self, parity: int, rows: int, width: int) -> np.ndarray:
         """A contiguous (rows, width) view into block buffer `parity`."""
         return self._blocks[parity, : rows * width].reshape(rows, width)
 
-    def forward(self, x: np.ndarray, first_changed: int, widths, embed, layer):
+    def forward(self, x: np.ndarray, changed: list[bool], widths, embed, layer):
         """The last layer's output for 2-D rows x, computed block by block.
 
         `widths[k]` is the width of layer k's input and `widths[-1]` that of
         the output.  `embed(rows, out)` writes the input of layer 0 for a
         block of rows into `out`, and `layer(k, h, out)` writes the output of
         layer k (activated, except the last) for its input h into `out`;
-        neither may change h or keep `out`.  `first_changed` is the first
-        layer whose parameters differ from the previous call's.
+        neither may change h or keep `out`.  `changed[k]` says whether layer
+        k's parameters or bias differ from the previous call's.
         """
         n_layers = len(widths) - 1
+        first_changed = changed.index(True) if any(changed) else n_layers
         n = len(x)
         repeat = self.rows is not None and _same_bits(self.rows, x)
         pool, self.kept = self.kept, {}  # drop stale entries before computing
         start = max((k for k in pool if k <= first_changed), default=None) if repeat else None
         h = pool.pop(start, None)
         if repeat:
-            self._deep |= first_changed > 0
             if h is None:
                 start, h = 0, _take(pool, (n, widths[0]))
                 embed(x, h)
             self.kept[start] = h
-            if start + 1 < n_layers and self._deep:
+            if start + 1 < n_layers and not all(changed):
                 self.kept[start + 1] = _take(pool, (n, widths[start + 1]))
         else:
             self.rows = None
@@ -168,11 +157,10 @@ class Mlp:
     per-tensor ZO probes each entry of a layer's `shapes` in turn, one +/-
     pair each, before the layer's base parameters return, and that base
     state is then taken from the kept ones instead of being realized again.
-    The forward restarts at the first layer whose parameters or bias
-    changed, from the activation the previous call kept for it
-    (`PrefixCache`).  All these checks compare values against copies, bit
-    for bit, so an in-place write into a vector the caller passes to
-    `set_flat` again is seen.
+    With a copy of each layer's last bias, that tells per layer whether the
+    query changed it, which is all `PrefixCache` reads.  All these checks
+    compare values against copies, bit for bit, so an in-place write into a
+    vector the caller passes to `set_flat` again is seen.
     """
 
     def __init__(
@@ -214,6 +202,7 @@ class Mlp:
             pos += layer.n_out
         self._theta = np.concatenate(chunks, dtype=np.float64)
         self._recent = [[] for _ in layers]  # per layer: (parameters, realized), the one in use last
+        self._bias = [None for _ in layers]  # per layer: a copy of the bias in use last
         self._cache = PrefixCache()
 
     # -- flat store: per layer, its parameters then its bias ----------------
@@ -240,9 +229,9 @@ class Mlp:
         """Layer k's parameters as its layer realizes them; in the weight domain, as stored."""
         return self._theta[self._param_slices[k]]
 
-    def _first_changed(self) -> int:
-        """Bring every layer's realized state up to date; the first layer whose parameters or bias changed."""
-        first = len(self.layers)
+    def _changed(self) -> list[bool]:
+        """Bring every layer's realized state up to date; per layer, whether its parameters or bias changed."""
+        changed = []
         for k, layer in enumerate(self.layers):
             params = self._theta[self._param_slices[k]]
             recent = self._recent[k]
@@ -253,9 +242,12 @@ class Mlp:
                 del recent[: -(1 + 2 * len(layer.shapes))]
             else:
                 recent.append(recent.pop(hit))
-            if self._cache.changed((k, "bias"), self._theta[self._bias_slices[k]]) or params_changed:
-                first = min(first, k)
-        return first
+            bias = self._theta[self._bias_slices[k]]
+            bias_changed = self._bias[k] is None or not _same_bits(self._bias[k], bias)
+            if bias_changed:
+                self._bias[k] = bias.copy()
+            changed.append(params_changed or bias_changed)
+        return changed
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -272,9 +264,8 @@ class Mlp:
             if k < last:
                 act(out, out=out)
 
-        first = self._first_changed()
         widths = [self.layers[0].n_in] + [lay.n_out for lay in self.layers]
-        out = self._cache.forward(np.atleast_2d(x), first, widths, embed, layer)
+        out = self._cache.forward(np.atleast_2d(x), self._changed(), widths, embed, layer)
         if self.output_scale != 1.0:
             out *= self.output_scale
         if out.shape[1] == 1:

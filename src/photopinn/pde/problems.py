@@ -42,6 +42,7 @@ from . import black_scholes as bs
 from . import burgers as bg
 from . import darcy as dc
 from . import hjb
+from .oracles import ORACLES, oracle_path
 from .raster import Raster, load_raster
 
 __all__ = [
@@ -88,7 +89,6 @@ class PinnProblem:
     sigma_default: float = 1e-3
     transform: Callable = staticmethod(lambda net: net)  # raw net -> solution network
     reference: Callable | None = None  # (X) -> exact values, or None until oracle built
-    oracle_name: str | None = None  # raster file stem for gridded references
     sample_margin: float = 0.0  # shrink the sampling box inward
 
     @property
@@ -206,7 +206,6 @@ def get_problem(
                 DataTerm("initial", ((-1, 0.0, lambda X: bg.burgers_initial(X[:, 0])),), 100),
                 DataTerm("boundary", ((0, -1.0, _zeros), (0, 1.0, _zeros)), 100),
             ),
-            oracle_name="burgers_reference",
         )
     elif name == "darcy":
         axis = np.linspace(0.0, 1.0, dc.GRID_N)
@@ -219,7 +218,6 @@ def get_problem(
             holdout_points=lambda: _grid_points(axis, axis),
             fixed_grid=True,
             transform=dc.darcy_transform,
-            oracle_name="darcy_reference",
         )
     else:
         raise KeyError(f"unknown problem {name!r}")
@@ -237,8 +235,8 @@ def get_problem(
         sigma_default=sigma or prob.sigma_default,
         sample_margin=sample_margin,
     )
-    if prob.oracle_name is not None and oracle_dir is not None:
-        path = Path(oracle_dir) / f"{prob.oracle_name}.txt"
+    if name in ORACLES and oracle_dir is not None:
+        path = oracle_path(oracle_dir, name)
         if path.exists():
             raster = load_raster(path)
             prob = replace(prob, reference=lambda X, r=raster: r.interp(X))
@@ -270,7 +268,7 @@ def holdout_reference(problem: PinnProblem) -> tuple[np.ndarray, np.ndarray]:
                 "and pass oracle_dir to get_problem"
             )
         ref = np.asarray(problem.reference(points), dtype=float)
-        if problem.oracle_name is None:  # a closed form, fixed by the problem name
+        if problem.name not in ORACLES:  # a closed form, fixed by the problem name
             ref.flags.writeable = False
             _HOLDOUT_REFERENCE[problem.name] = ref
     return points, ref

@@ -1,8 +1,10 @@
 """Side-by-side comparisons against the published values.
 
-Each table returns (rows, ok) where rows carry (label, ours, published,
-tolerance, pass/fail or 'target').  Rows marked 'target' are calibration
-comparisons under a documented convention, not assertions.
+Each table in `TABLES` maps a run directory (only `table2-bs` reads one) to
+rows of (label, ours, published, tolerance, pass/fail or 'target');
+`reproduce_table` returns them with whether none failed.  Rows marked
+'target' are calibration comparisons under a documented convention, not
+assertions.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from .tensortrain import tt_param_count
 
 __all__ = ["reproduce_table", "TABLE_IDS"]
 
-TABLE_IDS = ("cost", "sparse-grid-counts", "params", "mzi", "table2-bs")
-
 
 def _row(label, ours, published, tol):
     status = "pass" if abs(ours - published) <= tol else "FAIL"
@@ -29,21 +29,7 @@ def _target_row(label, ours, published):
     return (label, ours, published, None, "target")
 
 
-def reproduce_table(table: str, run_dir: str | None = None):
-    if table == "cost":
-        return _cost_table()
-    if table == "sparse-grid-counts":
-        return _grid_table()
-    if table == "params":
-        return _params_table()
-    if table == "mzi":
-        return _mzi_table()
-    if table == "table2-bs":
-        return _bs_table(run_dir)
-    raise KeyError(f"unknown table {table!r}; choose from {TABLE_IDS}")
-
-
-def _cost_table():
+def _cost_table(run_dir):
     rows = []
     published = {
         "ONN-SM": (51.30, 0.174, 1.74),
@@ -62,23 +48,21 @@ def _cost_table():
     rows.append(_target_row("ONN-TM t_total [s]", latency(arch="ONN-TM")["t_total_s"] , 52.27))
     for arch, p_total in (("ONN-SM", 3975.68), ("TONN-SM", 102.72), ("ONN-TM", 18.72), ("TONN-TM", 18.72)):
         rows.append(_row(f"{arch} footprint [mm^2]", footprint(arch)["total"], p_total, 0.01))
-    ok = all(r[-1] != "FAIL" for r in rows)
-    return rows, ok
+    return rows
 
 
-def _grid_table():
+def _grid_table(run_dir):
     rows = []
     for dim, published in ((2, 13), (3, 25), (21, 925)):
         rows.append(_row(f"grid nodes D={dim} k=3", len(build_sparse_grid(dim, 3)), published, 0))
-    ok = all(r[-1] != "FAIL" for r in rows)
-    return rows, ok
+    return rows
 
 
 def _n_params(problem: str, tensorized: bool = True, rank: int = 2, width: int | None = None) -> int:
     return build_model(problem, tensorized, rank, width).n_params
 
 
-def _params_table():
+def _params_table(run_dir):
     hjb_dense, hjb_tt = _n_params("hjb", False), _n_params("hjb")
     burgers_dense, burgers_tt = _n_params("burgers", False), _n_params("burgers")
     rows = [
@@ -100,11 +84,10 @@ def _params_table():
         rows.append(_row(f"HJB TT params (rank {rank})", _n_params("hjb", rank=rank), published, 0))
     for width, published in ((256, 71_681), (128, 19_457), (64, 5_633), (32, 1_793)):
         rows.append(_row(f"HJB standard params (width {width})", _n_params("hjb", False, width=width), published, 0))
-    ok = all(r[-1] != "FAIL" for r in rows)
-    return rows, ok
+    return rows
 
 
-def _mzi_table():
+def _mzi_table(run_dir):
     def tt_total(problem):
         layers = phase_layers(architecture(problem))
         return sum(mzi_count(layer, wavelengths=8) for layer in layers if isinstance(layer, PhotonicTT))
@@ -119,8 +102,7 @@ def _mzi_table():
     rows.append(_target_row("BS whole model (TT layers only)", tt_total("black-scholes"), 1_685))
     rows.append(_target_row("HJB whole model (TT layers only)", tt_total("hjb"), 2_057))
     rows.append(_target_row("Burgers/Darcy whole model (TT layers only)", tt_total("burgers"), 2_516))
-    ok = all(r[-1] != "FAIL" for r in rows)
-    return rows, ok
+    return rows
 
 
 def _bs_table(run_dir: str | None):
@@ -146,8 +128,24 @@ def _bs_table(run_dir: str | None):
         ("ZO-TT < ZO-standard", values["tt"], values["standard"], None,
          "pass" if values["tt"] < values["standard"] else "FAIL"),
     ]
-    ok = all(r[-1] != "FAIL" for r in rows)
-    return rows, ok
+    return rows
+
+
+TABLES = {
+    "cost": _cost_table,
+    "sparse-grid-counts": _grid_table,
+    "params": _params_table,
+    "mzi": _mzi_table,
+    "table2-bs": _bs_table,
+}
+TABLE_IDS = tuple(TABLES)
+
+
+def reproduce_table(table: str, run_dir: str | None = None):
+    if table not in TABLES:
+        raise KeyError(f"unknown table {table!r}; choose from {TABLE_IDS}")
+    rows = TABLES[table](run_dir)
+    return rows, all(r[-1] != "FAIL" for r in rows)
 
 
 def format_table(rows) -> str:

@@ -82,12 +82,26 @@ class RunReport:
         return "\n".join(lines)
 
 
-# the problem.* keys that only a data term reads, and the term's name
-_TERM_KEYS = {"initial_points": "initial", "lambda0": "initial", "boundary_points": "boundary", "lambdab": "boundary"}
+# The config keys a run can ignore: (key, whether the run (cfg, problem) ignores
+# it, why).  A value away from the key's default is then a ConfigError.
+_IGNORED_KEYS = (
+    *((f"problem.{key}", lambda c, p, term=term: term not in {t.name for t in p.data}, f"it has no {term} term")
+      for key, term in (("initial_points", "initial"), ("lambda0", "initial"),
+                        ("boundary_points", "boundary"), ("lambdab", "boundary"))),
+    ("problem.margin", lambda c, p: p.fixed_grid and not p.data, "its residual points come from a fixed grid"),
+    ("zo.radius", lambda c, p: c.domain == "phase" and c.noise_bits > 0, "the radius is one phase step, 2*pi/2^bits"),
+    *((f"noise.{name}", lambda c, p: c.domain == "weight", "the weight domain has no hardware noise")
+      for name in ("bits", "gamma_std", "crosstalk", "phase_bias", "seed")),
+    ("model.rank", lambda c, p: not c.model_tensorized, "model.tensorized = false has no TT layer"),
+    ("loss.samples", lambda c, p: c.loss_mode == "sg", "loss.mode = sg takes a sparse grid, not samples"),
+    ("loss.level", lambda c, p: c.loss_mode == "se", "loss.mode = se takes samples, not a sparse grid"),
+    *((f"opt.{name}", lambda c, p: c.opt_algorithm == "sgd", "opt.algorithm = sgd keeps no moments")
+      for name in ("beta1", "beta2", "eps")),
+)
 
 
 def config_problem(cfg: RunConfig) -> PinnProblem:
-    """The configured problem; a `problem.*` value it would ignore is a ConfigError."""
+    """The configured problem; a config value the run would ignore is a ConfigError."""
     problem = get_problem(
         cfg.problem_name,
         sigma=cfg.problem_sigma,
@@ -100,14 +114,10 @@ def config_problem(cfg: RunConfig) -> PinnProblem:
         oracle_dir=cfg.run_oracle_dir,
         sample_margin=cfg.problem_margin,
     )
-    terms = {term.name for term in problem.data}
-    unused = {key: f"it has no {name} term" for key, name in _TERM_KEYS.items() if name not in terms}
-    if problem.fixed_grid and not problem.data:
-        unused["margin"] = "its residual points come from a fixed grid"
-    for key, reason in unused.items():
-        value = getattr(cfg, f"problem_{key}")
-        if value != getattr(RunConfig, f"problem_{key}"):  # the field's default
-            raise ConfigError(f"problem.{key} = {value!r} has no effect on {problem.name}: {reason}")
+    for key, ignored, reason in _IGNORED_KEYS:
+        value, default = (getattr(obj, key.replace(".", "_")) for obj in (cfg, RunConfig))
+        if value != default and ignored(cfg, problem):
+            raise ConfigError(f"{key} = {value!r} has no effect on {problem.name}: {reason}")
     return problem
 
 

@@ -175,3 +175,48 @@ def test_global_probes_keep_no_full_size_hidden_activation(domain):
         got = model(x)
         assert set(model._cache.kept) == kept
         assert np.array_equal(got, fresh_forward())
+
+
+@_MODELS
+def test_a_per_tensor_probe_keeps_the_output_of_its_restart_layer(domain, tensorized, monkeypatch):
+    """What a forward keeps follows from its own query.  On the same rows, in
+    `rge_estimate`'s order, a probe on layer 0 leaves layers 1 and 2 unchanged
+    and so keeps layer 0's output at once; the - probe on layer 1 then starts
+    from it and applies layer 0 on no block.  Every forward equals a fresh
+    model's."""
+    cfg = RunConfig(problem_name="black-scholes", domain=domain, model_tensorized=tensorized)
+    model = build_run_model(cfg, 0)
+    layer0 = model.layers[0]
+    applies = []
+    apply = type(layer0).apply
+
+    def counted(self, *args):
+        applies.append(self is layer0)
+        apply(self, *args)
+
+    monkeypatch.setattr(type(layer0), "apply", counted)
+    x = np.random.default_rng(0).uniform([0.0, 0.0], [200.0, 1.0], size=(2 * B + 146, 2))
+    base = model.get_flat()
+    layer0_seg, layer1_seg = (
+        next(slice(a, b) for name, a, b in model.segments() if name.startswith(f"layer{k}.")) for k in (0, 1)
+    )
+
+    def query(shift, segment):
+        theta = base.copy()
+        theta[segment] += shift
+        model.set_flat(theta)
+        applies.clear()
+        got = model(x)
+        layer0_applies = sum(applies)
+        fresh = build_run_model(cfg, 0)
+        fresh.set_flat(theta)
+        assert np.array_equal(got, fresh(x))
+        return layer0_applies
+
+    assert query(0.0, layer0_seg) == 3  # base: new rows, one apply per row block
+    assert query(0.01, layer0_seg) == 3
+    assert set(model._cache.kept) == {0, 1}
+    assert query(0.01, layer1_seg) == 3  # layer 0 returns to its base parameters
+    assert set(model._cache.kept) == {0, 1}
+    assert query(-0.01, layer1_seg) == 0
+    assert set(model._cache.kept) == {1, 2}

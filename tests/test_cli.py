@@ -137,18 +137,48 @@ def test_train_with_invalid_noise_or_point_count_exits_2_before_writing(key, raw
 
 
 @pytest.mark.parametrize(
-    "problem,key,raw,message",
+    "setting,key,raw,message",
     [
-        ("hjb", "problem.initial_points", "7", "problem.initial_points = 7 has no effect on hjb: it has no initial"),
-        ("hjb", "problem.lambda0", "5", "problem.lambda0 = 5.0 has no effect on hjb: it has no initial term"),
-        ("darcy", "problem.boundary_points", "3", "problem.boundary_points = 3 has no effect on darcy: it has no"),
-        ("darcy", "problem.lambdab", "0", "problem.lambdab = 0.0 has no effect on darcy: it has no boundary term"),
-        ("darcy", "problem.margin", "0.1", "problem.margin = 0.1 has no effect on darcy: its residual points come"),
+        ("problem.name = hjb", "problem.initial_points", "7", "problem.initial_points = 7 has no effect on hjb: it has no initial"),
+        ("problem.name = hjb", "problem.lambda0", "5", "problem.lambda0 = 5.0 has no effect on hjb: it has no initial term"),
+        ("problem.name = darcy", "problem.boundary_points", "3", "problem.boundary_points = 3 has no effect on darcy: it has no"),
+        ("problem.name = darcy", "problem.lambdab", "0", "problem.lambdab = 0.0 has no effect on darcy: it has no boundary term"),
+        ("problem.name = darcy", "problem.margin", "0.1", "problem.margin = 0.1 has no effect on darcy: its residual points come"),
+        ("domain = phase", "zo.radius", "0.5", "zo.radius = 0.5 has no effect on black-scholes: the radius is one phase step"),
+        ("domain = weight", "noise.bits", "4", "noise.bits = 4 has no effect on black-scholes: the weight domain has no"),
+        ("domain = weight", "noise.gamma_std", "0.01", "noise.gamma_std = 0.01 has no effect on black-scholes: the weight"),
+        ("domain = weight", "noise.crosstalk", "0.5", "noise.crosstalk = 0.5 has no effect on black-scholes: the weight"),
+        ("domain = weight", "noise.phase_bias", "true", "noise.phase_bias = True has no effect on black-scholes: the weight"),
+        ("domain = weight", "noise.seed", "3", "noise.seed = 3 has no effect on black-scholes: the weight domain has no"),
+        ("model.tensorized = false", "model.rank", "4", "model.rank = 4 has no effect on black-scholes: model.tensorized"),
+        ("loss.mode = sg", "loss.samples", "100", "loss.samples = 100 has no effect on black-scholes: loss.mode = sg"),
+        ("loss.mode = se", "loss.level", "2", "loss.level = 2 has no effect on black-scholes: loss.mode = se takes"),
+        ("opt.algorithm = sgd", "opt.beta1", "0.8", "opt.beta1 = 0.8 has no effect on black-scholes: opt.algorithm = sgd"),
+        ("opt.algorithm = sgd", "opt.beta2", "0.99", "opt.beta2 = 0.99 has no effect on black-scholes: opt.algorithm"),
+        ("opt.algorithm = sgd", "opt.eps", "1e-6", "opt.eps = 1e-06 has no effect on black-scholes: opt.algorithm = sgd"),
     ],
-    ids=["hjb-initial_points", "hjb-lambda0", "darcy-boundary_points", "darcy-lambdab", "darcy-margin"],
+    ids=[
+        "hjb-initial_points",
+        "hjb-lambda0",
+        "darcy-boundary_points",
+        "darcy-lambdab",
+        "darcy-margin",
+        "phase-zo.radius",
+        "weight-noise.bits",
+        "weight-noise.gamma_std",
+        "weight-noise.crosstalk",
+        "weight-noise.phase_bias",
+        "weight-noise.seed",
+        "dense-model.rank",
+        "sg-loss.samples",
+        "se-loss.level",
+        "sgd-opt.beta1",
+        "sgd-opt.beta2",
+        "sgd-opt.eps",
+    ],
 )
-def test_train_with_a_key_the_problem_ignores_exits_2_before_writing(problem, key, raw, message, tmp_path, capsys):
-    cfg = _write_config(tmp_path, f"problem.name = {problem}\n{key} = {raw}\n")
+def test_train_with_a_key_the_problem_ignores_exits_2_before_writing(setting, key, raw, message, tmp_path, capsys):
+    cfg = _write_config(tmp_path, f"{setting}\n{key} = {raw}\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs"), "--iterations", "1"]) == EXIT_CONFIG
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()

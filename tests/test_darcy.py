@@ -1,10 +1,12 @@
-"""Darcy reference: the sparse direct solve against its discrete operator and its symmetry."""
+"""Darcy reference: the sparse direct solve against its discrete operator and its
+symmetry, and the oracle file that carries it to the problem's hold-out metric."""
 
 import numpy as np
 import pytest
 
-from photopinn.pde.darcy import darcy_discrete_residual, darcy_fd_solve
-from photopinn.pde.raster import Raster
+from photopinn.pde import get_problem, oracle_build
+from photopinn.pde.darcy import darcy_discrete_residual, darcy_fd_solve, default_permeability
+from photopinn.pde.raster import Raster, load_raster
 
 N = 17
 
@@ -39,3 +41,18 @@ def test_darcy_fd_solve_satisfies_its_stencil_and_the_field_symmetry(name):
     # div(k grad u) = 1 > 0, so u is negative inside the zero boundary
     assert np.all(v[1:-1, 1:-1] < 0.0)
     assert np.max(np.abs(mirror(v) - v)) < 1e-12 * np.max(np.abs(v))
+
+
+def test_the_darcy_oracle_file_is_the_solve_and_the_problem_reads_it(tmp_path):
+    """The gridded-reference path: `oracle_build` writes the solve bit for bit,
+    and `get_problem` given the directory interpolates it back at the nodes."""
+    solve = darcy_fd_solve(default_permeability())
+    path = oracle_build("darcy", tmp_path)
+    assert path == tmp_path / "darcy_reference.txt"
+    stored = load_raster(path)
+    assert stored.extent == solve.extent
+    assert np.array_equal(stored.values.view(np.uint64), solve.values.view(np.uint64))
+    problem = get_problem("darcy", oracle_dir=tmp_path)
+    nodes = problem.holdout_points()
+    scale = np.max(np.abs(solve.values))
+    assert np.max(np.abs(problem.reference(nodes) - solve.values.ravel())) <= 1e-12 * scale

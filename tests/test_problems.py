@@ -134,15 +134,31 @@ def test_a_problem_without_data_terms_ignores_their_weights(name):
 
 @pytest.mark.parametrize("name", ["hjb", "darcy"])
 def test_keys_a_problem_ignores_are_accepted_at_their_defaults(name):
-    cfg = RunConfig(
-        problem_name=name,
-        problem_initial_points=0,
-        problem_boundary_points=0,
-        problem_lambda0=1.0,
-        problem_lambdab=1.0,
-        problem_margin=0.0,
-    )
-    assert config_problem(cfg).data == ()
+    """Every key a run ignores, set to its default where the run ignores it."""
+    ignored = [
+        # the weight domain ignores noise.*, loss.mode = se ignores loss.level
+        dict(domain="weight", noise_bits=8, noise_gamma_std=0.002, noise_crosstalk=0.005, noise_phase_bias=False,
+             noise_seed=0, loss_mode="se", loss_level=3),
+        # the phase domain with noise.bits > 0 ignores zo.radius, loss.mode = sg ignores loss.samples
+        dict(domain="phase", zo_radius=0.01, loss_mode="sg", loss_samples=2048),
+    ]
+    for setting in ignored:
+        cfg = RunConfig(
+            problem_name=name,
+            problem_initial_points=0,
+            problem_boundary_points=0,
+            problem_lambda0=1.0,
+            problem_lambdab=1.0,
+            problem_margin=0.0,
+            model_tensorized=False,
+            model_rank=2,
+            opt_algorithm="sgd",
+            opt_beta1=0.9,
+            opt_beta2=0.999,
+            opt_eps=1e-8,
+            **setting,
+        )
+        assert config_problem(cfg).data == ()
 
 
 @pytest.mark.parametrize("sigma,want", [(0.0, 0.1), (0.02, 0.02)])
