@@ -4,23 +4,43 @@
 layer, affinely normalized inputs and a rescaled output (fixed conditioning
 taken from `models.architecture`), and one flat float64 vector theta of
 trainables with named segments, which is what the zeroth-order optimizer
-perturbs.  A layer kind supplies only its shapes and two steps: `realize`
-maps its parameters to what a forward multiplies by, and `apply` multiplies
-a block of rows by it.  The weight-domain kinds here are `DenseLayer` and
-`TTLayer` (model `TensorizedMlp`); the phase-domain kinds and their noise
-map live in `photonic.model` (model `PhotonicMlp`).
+perturbs.  A layer kind supplies its shapes, whether its realization is
+linear in each segment (`multilinear`), and two steps: `realize` maps its
+parameters to what a forward multiplies by, and `apply` multiplies a block
+of rows by it.  The weight-domain kinds here are `DenseLayer` and `TTLayer`
+(model `TensorizedMlp`); the phase-domain kinds and their noise map live in
+`photonic.model` (model `PhotonicMlp`).
 
-Forwards stream the input through the network in blocks of `BLOCK_ROWS`
+Each layer keeps one realization, of the parameters it was last realized
+at, and realizes again only when they change: a hold-out evaluation reuses
+the realizations of the logging query before it.
+
+Forwards stream their rows through the network in blocks of `BLOCK_ROWS`
 rows: each block passes through every layer before the next block starts,
-so an activation that is not kept is never larger than BLOCK_ROWS x width.
-Every block writes into buffers the forward's `PrefixCache` owns and
-recycles.
+in two block buffers the network's `PrefixCache` owns and recycles, so an
+intermediate is never larger than BLOCK_ROWS x width.  A plain call keeps
+nothing.
 
-What a forward keeps follows from its query alone.  On the previous call's
-rows, a query restarts at the first layer whose parameters or bias it
-changed, from the activation kept for it, and keeps that layer's output too
-exactly when some layer is unchanged: with three or more layers every
-per-tensor probe leaves one, no global probe does.  New rows keep nothing.
+`Mlp.pair(x, sl, delta)` gives the outputs at theta with theta[sl] + delta
+and with theta[sl] - delta: the two loss queries of one ZO probe.  The pairs
+of a step share one base forward.  The cache keeps the probed layer k's base
+input h_k and pre-bias product P_k = h_k W_k^T for the step's rows, and turns
+P_k into h_{k+1} in place when the pairs move up a layer; the layers above k
+run at their base realizations.  Layer k's pre-activations z+ and z- depend
+on what the pair probes:
+
+- a bias: z = P_k + (b +/- delta), byte-identical to two plain forwards;
+- a segment of a multilinear layer (a dense weight or one TT core) with at
+  most the output layer above it: D = h_k dir^T, where dir is the layer
+  realized from its base parameters with that segment set to delta, and
+  z = (P_k +/- D) + b.  W is linear in the segment, so this is
+  h_k (W +/- dir)^T + b rounded in another order: on the Black-Scholes
+  loss at sigma = 1e-3, which amplifies rounding by 1/sigma^2, the loss
+  values move by up to ~5e-9 relative (tests/test_reuse.py states the bound);
+- any other segment (phases, or a deeper weight layer): both states
+  realized, as a chip reprograms its shifters; byte-identical;
+- a slice over several segments (global grouping), or any slice that is
+  not one whole segment: two plain forwards.
 """
 
 from __future__ import annotations
@@ -56,90 +76,80 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _take(pool: dict, shape: tuple) -> np.ndarray:
-    """An array of `shape` from `pool` (removed from it), else a new one."""
-    for key, arr in pool.items():
-        if arr.shape == shape:
-            return pool.pop(key)
-    return np.empty(shape)
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of at most BLOCK_ROWS rows covering n rows."""
+    edges = list(range(0, n, BLOCK_ROWS)) + [n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        del edges[-2]  # a lone last row would take numpy's GEMV path, not GEMM: join it to the block before
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 class PrefixCache:
-    """What one network's last forward left for its next: the input rows, at
-    most two activations (kept by the rule in the module docstring), and the
-    block buffers.
+    """What the pairs of one ZO step share, and the block buffers of every forward.
 
-    Memory: the kept activations are full-size (rows x width); every other
-    intermediate lives in one of two block buffers (a layer's input and its
-    output), each of (BLOCK_ROWS + 1) x the widest layer input.  The
-    buffers persist across calls, and new kept activations reuse the arrays
-    of the ones they replace, so a forward allocates no array per block.
-    A fresh (block x width) array per layer and block would be served by
-    mmap above glibc's mmap threshold and page-faulted in anew every time.
+    The pairs' base forward: the rows and base theta it ran at, the probed
+    layer `layer`, its base input `h` and, once a pair needed it, its
+    pre-bias product `product`.
+
+    Memory: `h` and `product` are views into two full-size buffers, each
+    grown to the widest (rows x width) view it has held, so until a pair
+    needs a hidden product, layer 0's input takes only rows x inputs; every
+    other intermediate lives in one of two block buffers, each
+    (BLOCK_ROWS + 1) x the widest layer.  The buffers persist across calls,
+    so a forward allocates no array per block and, once warm, the pairs none
+    per step: a fresh (block x width) array per layer and block would be
+    served by mmap above glibc's mmap threshold and page-faulted in anew
+    every time.  A plain forward drops the full-size buffers, so a hold-out
+    evaluation does not hold them.
     """
 
-    def __init__(self):
+    def __init__(self, widest: int):
+        self.widest = widest  # columns of a block buffer: the widest layer
         self.rows: np.ndarray | None = None
-        self.kept: dict[int, np.ndarray] = {}  # layer index -> the activation that feeds it
-        self._blocks: np.ndarray | None = None  # two flat block buffers, see the class docstring
+        self.theta: np.ndarray | None = None
+        self.layer = 0
+        self.h: np.ndarray | None = None
+        self.product: np.ndarray | None = None
+        self._slot = 0  # the full-size buffer h lives in; product lives in the other
+        self._full: list = [None, None]
+        self._blocks: np.ndarray | None = None
 
-    def _block(self, parity: int, rows: int, width: int) -> np.ndarray:
+    def holds(self, x: np.ndarray, theta: np.ndarray) -> bool:
+        """Whether the base forward ran on rows x at theta."""
+        return self.rows is not None and _same_bits(self.rows, x) and _same_bits(self.theta, theta)
+
+    def start(self, x: np.ndarray, theta: np.ndarray, width: int) -> np.ndarray:
+        """Begin a base forward on rows x at theta; returns the (rows x width) array for h."""
+        self.rows, self.theta, self.layer, self.product = x.copy(), theta.copy(), 0, None
+        self.h = self._full_view(self._slot, width)
+        return self.h
+
+    def new_product(self, width: int) -> np.ndarray:
+        """The (rows x width) array for the product, in the buffer h does not use."""
+        self.product = self._full_view(1 - self._slot, width)
+        return self.product
+
+    def advance(self) -> None:
+        """The product, now activated, is the next layer's input."""
+        self.h, self.product, self._slot, self.layer = self.product, None, 1 - self._slot, self.layer + 1
+
+    def release(self) -> None:
+        self.rows = self.theta = self.h = self.product = None
+        self._full = [None, None]
+
+    def block(self, parity: int, rows: int, width: int) -> np.ndarray:
         """A contiguous (rows, width) view into block buffer `parity`."""
+        if self._blocks is None:
+            self._blocks = np.empty((2, (BLOCK_ROWS + 1) * self.widest))  # a block has at most BLOCK_ROWS + 1 rows
         return self._blocks[parity, : rows * width].reshape(rows, width)
 
-    def forward(self, x: np.ndarray, changed: list[bool], widths, embed, layer):
-        """The last layer's output for 2-D rows x, computed block by block.
-
-        `widths[k]` is the width of layer k's input and `widths[-1]` that of
-        the output.  `embed(rows, out)` writes the input of layer 0 for a
-        block of rows into `out`, and `layer(k, h, out)` writes the output of
-        layer k (activated, except the last) for its input h into `out`;
-        neither may change h or keep `out`.  `changed[k]` says whether layer
-        k's parameters or bias differ from the previous call's.
-        """
-        n_layers = len(widths) - 1
-        first_changed = changed.index(True) if any(changed) else n_layers
-        n = len(x)
-        repeat = self.rows is not None and _same_bits(self.rows, x)
-        pool, self.kept = self.kept, {}  # drop stale entries before computing
-        start = max((k for k in pool if k <= first_changed), default=None) if repeat else None
-        h = pool.pop(start, None)
-        if repeat:
-            if h is None:
-                start, h = 0, _take(pool, (n, widths[0]))
-                embed(x, h)
-            self.kept[start] = h
-            if start + 1 < n_layers and not all(changed):
-                self.kept[start + 1] = _take(pool, (n, widths[start + 1]))
-        else:
-            self.rows = None
-        del pool  # frees what the new kept activations did not reuse, before computing
-        size = (BLOCK_ROWS + 1) * max(widths[:-1])  # a block has at most BLOCK_ROWS + 1 rows
-        if self._blocks is None or self._blocks.shape[1] < size:
-            self._blocks = np.empty((2, size))
-        out = np.empty((n, widths[-1]))
-        edges = list(range(0, n, BLOCK_ROWS)) + [n]
-        if len(edges) > 2 and n - edges[-2] == 1:
-            del edges[-2]  # a lone last row would take numpy's GEMV path, not GEMM: join it to the block before
-        for lo, hi in zip(edges, edges[1:]):
-            rows, m = slice(lo, hi), hi - lo
-            if repeat:
-                first, a = start, h[rows]
-            else:
-                first, a = 0, self._block(0, m, widths[0])
-                embed(x[rows], a)
-            for k in range(first, n_layers):
-                if k + 1 == n_layers:
-                    dest = out[rows]
-                elif k + 1 in self.kept:
-                    dest = self.kept[k + 1][rows]
-                else:
-                    dest = self._block((k + 1) % 2, m, widths[k + 1])
-                layer(k, a, dest)
-                a = dest
-        if not repeat:
-            self.rows = x.copy()  # after the forward, so the copy does not add to its peak
-        return out
+    def _full_view(self, slot: int, width: int) -> np.ndarray:
+        """A contiguous (rows, width) view into full-size buffer `slot`, grown if too small."""
+        size = len(self.rows) * width
+        if self._full[slot] is None or len(self._full[slot]) < size:
+            self._full[slot] = None  # free the old buffer before allocating
+            self._full[slot] = np.empty(size)
+        return self._full[slot][:size].reshape(len(self.rows), width)
 
 
 class Mlp:
@@ -150,17 +160,10 @@ class Mlp:
     parameters, one array per entry of its `shapes`, and biases start at
     zero.  `set_flat` copies into theta, so the model owns its store.
 
-    A forward realizes a layer (`realize`: a weight copy, a TT matrix, or a
-    matrix realized from MZI phases) only when the layer's parameters
-    changed, as a chip reprograms only the phase shifters a probe touched.
-    Each layer keeps its last 1 + 2 x len(shapes) realized states:
-    per-tensor ZO probes each entry of a layer's `shapes` in turn, one +/-
-    pair each, before the layer's base parameters return, and that base
-    state is then taken from the kept ones instead of being realized again.
-    With a copy of each layer's last bias, that tells per layer whether the
-    query changed it, which is all `PrefixCache` reads.  All these checks
-    compare values against copies, bit for bit, so an in-place write into a
-    vector the caller passes to `set_flat` again is seen.
+    Realizations and the pairs' base forward are reused only while the
+    parameters they came from compare equal bit for bit to copies, so an
+    in-place write into a vector the caller passes to `set_flat` again is
+    seen.
     """
 
     def __init__(
@@ -183,6 +186,7 @@ class Mlp:
         self.input_scale = np.ones(dim) if input_scale is None else np.asarray(input_scale, float)
         self.output_scale = float(output_scale)
         self._segments = []  # (name, start, stop) in theta
+        self._segment_layer = {}  # (start, stop) of a segment -> its layer
         self._param_slices = []  # per layer: its parameters in theta
         self._bias_slices = []  # per layer: its bias in theta
         chunks = []
@@ -194,16 +198,18 @@ class Mlp:
                     raise ValueError(f"layer {k} {name}: expected shape {tuple(shape)}, got {np.shape(arr)}")
                 chunks.append(np.ravel(arr))
                 self._segments.append((f"layer{k}.{name}", pos, pos + arr.size))
+                self._segment_layer[pos, pos + arr.size] = k
                 pos += arr.size
             chunks.append(np.zeros(layer.n_out))
             self._segments.append((f"layer{k}.bias", pos, pos + layer.n_out))
+            self._segment_layer[pos, pos + layer.n_out] = k
             self._param_slices.append(slice(start, pos))
             self._bias_slices.append(slice(pos, pos + layer.n_out))
             pos += layer.n_out
         self._theta = np.concatenate(chunks, dtype=np.float64)
-        self._recent = [[] for _ in layers]  # per layer: (parameters, realized), the one in use last
-        self._bias = [None for _ in layers]  # per layer: a copy of the bias in use last
-        self._cache = PrefixCache()
+        self._widths = [dim] + [layer.n_out for layer in layers]  # layer k maps width k to width k + 1
+        self._realized = [None for _ in layers]  # per layer: (parameters, realization), the last realized
+        self._cache = PrefixCache(max(self._widths))
 
     # -- flat store: per layer, its parameters then its bias ----------------
 
@@ -225,52 +231,135 @@ class Mlp:
 
     # -- forward ---------------------------------------------------------------
 
-    def _effective(self, k: int) -> np.ndarray:
-        """Layer k's parameters as its layer realizes them; in the weight domain, as stored."""
-        return self._theta[self._param_slices[k]]
+    def _effective(self, k: int, params: np.ndarray) -> np.ndarray:
+        """Layer k's `params` as its layer realizes them; in the weight domain, as given."""
+        return params
 
-    def _changed(self) -> list[bool]:
-        """Bring every layer's realized state up to date; per layer, whether its parameters or bias changed."""
-        changed = []
-        for k, layer in enumerate(self.layers):
-            params = self._theta[self._param_slices[k]]
-            recent = self._recent[k]
-            hit = next((i for i in reversed(range(len(recent))) if _same_bits(recent[i][0], params)), None)
-            params_changed = hit != len(recent) - 1
-            if hit is None:
-                recent.append((params.copy(), layer.realize(self._effective(k))))
-                del recent[: -(1 + 2 * len(layer.shapes))]
-            else:
-                recent.append(recent.pop(hit))
-            bias = self._theta[self._bias_slices[k]]
-            bias_changed = self._bias[k] is None or not _same_bits(self._bias[k], bias)
-            if bias_changed:
-                self._bias[k] = bias.copy()
-            changed.append(params_changed or bias_changed)
-        return changed
+    def _realization(self, k: int):
+        """Layer k realized at theta, reused while its parameters keep their bits."""
+        params = self._theta[self._param_slices[k]]
+        last = self._realized[k]
+        if last is None or not _same_bits(last[0], params):
+            last = self._realized[k] = (params.copy(), self.layers[k].realize(self._effective(k, params)))
+        return last[1]
+
+    def _bias(self, k: int) -> np.ndarray:
+        return self._theta[self._bias_slices[k]]
+
+    def _embed(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Layer 0's input for rows x: the affinely normalized coordinates."""
+        np.subtract(x, self.input_shift, out=out)
+        out *= self.input_scale
+
+    def _activate(self, k: int, z: np.ndarray) -> None:
+        """The activation, in place, on the output of every layer but the last."""
+        if k < len(self.layers) - 1:
+            _ACTIVATIONS[self.activation](z, out=z)
+
+    def _run(self, first: int, a: np.ndarray, parity: int, dest: np.ndarray, realized: list) -> None:
+        """Layers first.. at `realized` on block a, held in block buffer `parity`; the last writes dest."""
+        last = len(self.layers) - 1
+        for k in range(first, last + 1):
+            parity ^= 1
+            out = dest if k == last else self._cache.block(parity, len(a), self._widths[k + 1])
+            self.layers[k].apply(a, out, realized[k], self._bias(k))
+            self._activate(k, out)
+            a = out
+
+    def _output(self, out: np.ndarray) -> np.ndarray:
+        if self.output_scale != 1.0:
+            out *= self.output_scale
+        return out[..., 0] if out.shape[-1] == 1 else out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        act = _ACTIVATIONS[self.activation]
-        last = len(self.layers) - 1
-
-        def embed(rows, out):
-            np.subtract(rows, self.input_shift, out=out)
-            out *= self.input_scale
-
-        def layer(k, h, out):
-            self.layers[k].apply(h, out, self._recent[k][-1][1], self._theta[self._bias_slices[k]])
-            if k < last:
-                act(out, out=out)
-
-        widths = [self.layers[0].n_in] + [lay.n_out for lay in self.layers]
-        out = self._cache.forward(np.atleast_2d(x), self._changed(), widths, embed, layer)
-        if self.output_scale != 1.0:
-            out *= self.output_scale
-        if out.shape[1] == 1:
-            out = out[:, 0]
+        x = np.atleast_2d(x)
+        self._cache.release()
+        realized = [self._realization(k) for k in range(len(self.layers))]
+        out = np.empty((len(x), self._widths[-1]))
+        for rows in _row_blocks(len(x)):
+            a = self._cache.block(0, rows.stop - rows.start, self._widths[0])
+            self._embed(x[rows], a)
+            self._run(0, a, 0, out[rows], realized)
+        out = self._output(out)
         return out[0] if single else out
+
+    def pair(self, x: np.ndarray, sl: slice, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The outputs for 2-D rows x at theta with theta[sl] + delta and with
+        theta[sl] - delta, by the rules in the module docstring."""
+        k = self._segment_layer.get((sl.start, sl.stop))
+        if k is None:
+            return self._plain_pair(x, sl, delta)
+        x = np.asarray(x, dtype=float)
+        last, cache = len(self.layers) - 1, self._cache
+        layer, bias, params = self.layers[k], self._bias(k), self._theta[self._param_slices[k]]
+        realized = [self._realization(j) for j in range(len(self.layers))]
+        if not cache.holds(x, self._theta) or cache.layer > k:
+            self._embed(x, cache.start(x, self._theta, self._widths[0]))
+        while cache.layer < k:
+            p = self._product(realized)
+            p += self._bias(cache.layer)
+            self._activate(cache.layer, p)
+            cache.advance()
+
+        biases = direction = states = None
+        if sl.start == self._bias_slices[k].start:
+            biases = [bias + delta, bias - delta]
+        else:
+            part = slice(sl.start - self._param_slices[k].start, sl.stop - self._param_slices[k].start)
+            if layer.multilinear and k >= last - 1:
+                moved = params.copy()
+                moved[part] = delta
+                direction = layer.realize(moved)
+            else:
+                states = []
+                for op in (np.add, np.subtract):
+                    moved = params.copy()
+                    moved[part] = op(params[part], delta)
+                    states.append(layer.realize(self._effective(k, moved)))
+        product = self._product(realized) if states is None else None
+
+        out = np.empty((2, len(x), self._widths[-1]))
+        for rows in _row_blocks(len(x)):
+            m, h = rows.stop - rows.start, cache.h[rows]
+            if direction is not None:
+                d = cache.block(0, m, self._widths[k + 1])  # block buffer 0 holds D; layer k's output goes to 1
+                layer.apply(h, d, direction)
+            for i, op in enumerate((np.add, np.subtract)):
+                z = out[i, rows] if k == last else cache.block(1, m, self._widths[k + 1])
+                if biases is not None:
+                    np.add(product[rows], biases[i], out=z)
+                elif direction is not None:
+                    op(product[rows], d, out=z)
+                    z += bias
+                else:
+                    layer.apply(h, z, states[i], bias)
+                if k < last:
+                    self._activate(k, z)
+                    self._run(k + 1, z, 1, out[i, rows], realized)
+        return tuple(self._output(out))
+
+    def _product(self, realized: list) -> np.ndarray:
+        """The probed layer's base pre-bias product h W^T, computed once per base forward and layer."""
+        cache = self._cache
+        if cache.product is None:
+            k = cache.layer
+            p = cache.new_product(self._widths[k + 1])
+            for rows in _row_blocks(len(p)):
+                self.layers[k].apply(cache.h[rows], p[rows], realized[k])
+        return cache.product
+
+    def _plain_pair(self, x: np.ndarray, sl: slice, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two plain forwards, for a slice that is not one segment."""
+        base = self._theta.copy()
+        try:
+            self._theta[sl] = base[sl] + delta
+            plus = self(x)
+            self._theta[sl] = base[sl] - delta
+            return plus, self(x)
+        finally:
+            self._theta[:] = base
 
 
 class TensorizedMlp(Mlp):
@@ -283,6 +372,7 @@ class DenseLayer:
 
     n_in: int
     n_out: int
+    multilinear = True  # the realization is linear in the weight
 
     @property
     def shapes(self):
@@ -291,9 +381,10 @@ class DenseLayer:
     def realize(self, params: np.ndarray) -> np.ndarray:
         return params.reshape(self.n_out, self.n_in).copy()
 
-    def apply(self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray) -> None:
+    def apply(self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray | None = None) -> None:
         np.matmul(h, realized.T, out=out)
-        out += bias
+        if bias is not None:
+            out += bias
 
 
 @dataclass(frozen=True)
@@ -301,6 +392,7 @@ class TTLayer:
     """A weight matrix in tensor-train format; realized as (cores, their reconstructed matrix)."""
 
     layout: TTLayout
+    multilinear = True  # the reconstruction is linear in each core, the others fixed
 
     @property
     def n_in(self) -> int:
@@ -320,7 +412,8 @@ class TTLayer:
         cores = TTCores(self.layout, [p.reshape(shape).copy() for p, (_, shape) in zip(pieces, self.shapes)])
         return cores, tt_reconstruct(cores)
 
-    def apply(self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray) -> None:
+    def apply(self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray | None = None) -> None:
         cores, matrix = realized
         tt_forward(cores, h, out=out, matrix=matrix)
-        out += bias
+        if bias is not None:
+            out += bias

@@ -11,8 +11,8 @@ The mesh kernel holds its batch as the innermost axis, so its elementwise
 ops run over hundreds of contiguous values (the meshes) rather than over a
 block's 8 columns, and it updates the stages in place, with no fresh
 temporary per op; the more meshes per call, the more of each op's fixed
-cost they share.  Biases stay digital.  Storage, change detection and
-reuse are `nets.Mlp`'s; a layer's parameters are its phases.  Only this
+cost they share.  Biases stay digital.  Storage, reuse and the ZO probe
+pairs are `nets.Mlp`'s; a layer's parameters are its phases.  Only this
 module maps a layer to SVD blocks; `cost.mzi_count` counts the same layers.
 
 Crosstalk adjacency: rotators that are neighbors within the same stage of the
@@ -44,6 +44,8 @@ class PhotonicDense:
     Its phases arrive as a (blocks, phases per block) array.
     """
 
+    multilinear = False  # phases enter the realized weight through sines and cosines
+
     def __init__(self, n_in: int, n_out: int, block: int = DENSE_BLOCK_SIZE):
         self.n_in = n_in
         self.n_out = n_out
@@ -58,9 +60,10 @@ class PhotonicDense:
     def realize(self, phases: np.ndarray) -> np.ndarray:
         return self.realized_weight(phases.reshape(self.phase_shape))
 
-    def apply(self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray) -> None:
+    def apply(self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray | None = None) -> None:
         np.matmul(h, realized.T, out=out)
-        out += bias
+        if bias is not None:
+            out += bias
 
     def realized_weight(self, phases: np.ndarray) -> np.ndarray:
         k = self.block
@@ -71,6 +74,8 @@ class PhotonicDense:
 
 class PhotonicTT:
     """TT layer with one rectangular SVD block per core; phases arrive as one vector."""
+
+    multilinear = False  # phases enter the realized cores through sines and cosines
 
     def __init__(self, layout: TTLayout):
         self.layout = layout
@@ -91,10 +96,11 @@ class PhotonicTT:
         cores = self.realized_cores(phases)
         return cores, tt_reconstruct(cores)
 
-    def apply(self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray) -> None:
+    def apply(self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray | None = None) -> None:
         cores, matrix = realized
         tt_forward(cores, h, out=out, matrix=matrix)
-        out += bias
+        if bias is not None:
+            out += bias
 
     def realized_cores(self, phases: np.ndarray) -> TTCores:
         cores = []
@@ -148,12 +154,12 @@ class PhotonicMlp(Mlp):
     def phase_vector(self) -> np.ndarray:
         return np.concatenate([self._theta[sl] for sl in self._param_slices])
 
-    def _effective(self, k: int) -> np.ndarray:
-        """Effective phases of layer k, from its programmed phases alone."""
-        return apply_nonidealities(super()._effective(k), self.noise, self._pairs[k], self._frozen[k])
+    def _effective(self, k: int, params: np.ndarray) -> np.ndarray:
+        """Effective phases of layer k, from its programmed phases `params` alone."""
+        return apply_nonidealities(params, self.noise, self._pairs[k], self._frozen[k])
 
     def effective_phases(self) -> np.ndarray:
-        return np.concatenate([self._effective(k) for k in range(len(self.layers))])
+        return np.concatenate([self._effective(k, self._theta[sl]) for k, sl in enumerate(self._param_slices)])
 
 
 def _layer_pairs(layer) -> np.ndarray:

@@ -97,6 +97,9 @@ _IGNORED_KEYS = (
     ("loss.level", lambda c, p: c.loss_mode == "se", "loss.mode = se takes samples, not a sparse grid"),
     *((f"opt.{name}", lambda c, p: c.opt_algorithm == "sgd", "opt.algorithm = sgd keeps no moments")
       for name in ("beta1", "beta2", "eps")),
+    ("run.seed", lambda c, p: bool(c.run_seeds), "run.seeds lists the seeds to run"),
+    *((f"run.{name}", lambda c, p: p.reference is None, "it has no hold-out reference (no oracle in run.oracle_dir)")
+      for name in ("eval_every", "target_rel_l2")),
 )
 
 
@@ -156,18 +159,31 @@ def evaluate_model(model, problem: PinnProblem):
 
 
 def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: int):
-    """The training loss of one ZO step as a function of theta.
+    """The training loss of one ZO step as a function of theta, with a `pair` method.
 
     The step's batch, Stein plan and evaluation points are built once and
-    shared by every query; each query is one `pinn_loss` call.
+    shared by every query, and each loss value is one `pinn_loss` call.
+    `loss(theta)` runs one plain forward.  `loss.pair(theta, sl, delta)` gives
+    the values at theta[sl] +/- delta from one `model.pair`, and the pairs of
+    a step share one base forward.  They equal two plain queries bit for bit,
+    except on a weight-domain weight segment with at most the output layer
+    above it, whose product is split as (P +/- D) + b: there they agree within
+    ~5e-9 relative (the `nets` module docstring; tests/test_reuse.py).
     """
     inputs = step_inputs(problem, stein, seed, step)
 
+    def value(solution) -> float:
+        return pinn_loss(problem.transform(solution), problem, stein, seed, step, inputs)[0]
+
     def loss(theta):
         model.set_flat(theta)
-        value, _ = pinn_loss(problem.transform(model), problem, stein, seed, step, inputs)
-        return value
+        return value(model)
 
+    def pair(theta, sl, delta):
+        model.set_flat(theta)
+        return tuple(value(lambda X, u=u: u) for u in model.pair(inputs.points, sl, delta))
+
+    loss.pair = pair
     return loss
 
 

@@ -9,6 +9,12 @@ to g's coordinates.  Each probe costs two loss queries; with per-tensor
 grouping every named segment gets its own probes and query pair.  Probe
 streams are keyed by (seed, step, group, query) so results do not depend on
 evaluation order or worker count.
+
+A loss that offers `pair(theta, sl, delta)` is asked for both values of a
+probe at once, L(theta with theta[sl] +/- delta), so it can share work
+between them and across the probes of a step (`training.step_loss` shares one
+base forward, `nets.Mlp.pair`).  A plain callable is queried twice, at two
+probe vectors; both ways count two queries per probe.
 """
 
 from __future__ import annotations
@@ -94,7 +100,15 @@ def rge_estimate(
     cfg: ZoConfig,
     step: int = 0,
 ) -> tuple[np.ndarray, int]:
-    """Estimate the gradient of `loss` at theta; returns (estimate, n_loss_queries)."""
+    """Estimate the gradient of `loss` at theta; returns (estimate, n_loss_queries).
+
+    `loss` maps theta to a float.  When it has `pair`, each probe is one
+    `pair(theta, sl, mu * xi)` call instead of two calls at theta[sl] +/- mu * xi;
+    the estimate then differs from the plain one only as far as the pair's
+    values differ from the two queries (for `training.step_loss`: not at all,
+    or within the tolerance the `nets` module docstring states).
+    """
+    pair = getattr(loss, "pair", None)
     grad = np.zeros_like(theta)
     queries = 0
     mu = cfg.radius
@@ -104,11 +118,15 @@ def rge_estimate(
         for qi in range(cfg.queries):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, step, gi, qi)))
             xi = _draw(rng, width, cfg.distribution)
-            probe = theta.copy()
-            probe[sl] = theta[sl] + mu * xi
-            lp = float(loss(probe))
-            probe[sl] = theta[sl] - mu * xi
-            lm = float(loss(probe))
+            delta = mu * xi
+            if pair is not None:
+                lp, lm = (float(value) for value in pair(theta, sl, delta))
+            else:
+                probe = theta.copy()
+                probe[sl] = theta[sl] + delta
+                lp = float(loss(probe))
+                probe[sl] = theta[sl] - delta
+                lm = float(loss(probe))
             queries += 2
             if not (np.isfinite(lp) and np.isfinite(lm)):
                 raise DivergenceError(

@@ -3,7 +3,7 @@
 Forwards run in blocks of `BLOCK_ROWS` rows.  The oracle below multiplies
 all rows by each layer's whole matrix at once, as the unblocked forward did;
 the blocked forward must equal it bit for bit on either side of every block
-edge, on a one-off call and on a call that restarts from kept activations.
+edge, on a plain call and on the probe pairs that share one base forward.
 """
 
 import tracemalloc
@@ -91,30 +91,40 @@ def test_one_off_forward_equals_one_gemm_per_layer(domain, tensorized, rows):
     model = _model(domain, tensorized)
     x = np.random.default_rng(rows).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
     got = model(x)
-    assert model._cache.kept == {}
+    assert model._cache.h is None  # a plain forward keeps nothing
     assert np.array_equal(got, oracle(model, x, domain))
 
 
 @_MODELS
 @pytest.mark.parametrize("rows", ROWS)
-def test_forward_from_kept_activations_equals_one_gemm_per_layer(domain, tensorized, rows):
-    """Probes on layers 1 and 2 restart from full-size kept activations; the
-    layers after the first recomputed one run through the block buffers."""
+def test_pairs_equal_one_gemm_per_layer(domain, tensorized, rows):
+    """The pairs of one step, in `rge_estimate`'s order, on either side of
+    every block edge: the bias pairs, the phase pairs and the weight pairs
+    below two or more layers equal the oracle at theta +/- delta bit for bit;
+    the weight pairs below at most the output layer take the (P +/- D) + b
+    split and agree within rounding."""
     model = _model(domain, tensorized)
     x = np.random.default_rng(rows).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
     theta = model.get_flat()
-    model(x)
-    model(x)  # the same rows twice in a row: keeps the input and output of layer 0
-    assert set(model._cache.kept) == {0, 1}
-    spans = {name: (start, stop) for name, start, stop in model.segments()}
-    for name in ("layer1.bias", "layer2.bias"):
-        start, stop = spans[name]
-        theta[start:stop] += 0.01
+    last = len(model.layers) - 1
+    rng = np.random.default_rng(5)
+    for name, start, stop in model.segments():
+        sl = slice(start, stop)
+        delta = 0.01 * rng.standard_normal(stop - start)
         model.set_flat(theta)
-        got = model(x)
-        k = int(name[len("layer")])
-        assert set(model._cache.kept) == {k, k + 1}
-        assert np.array_equal(got, oracle(model, x, domain)), name
+        got = model.pair(x, sl, delta)
+        k = int(name[len("layer") : name.index(".")])
+        split = domain == "weight" and not name.endswith(".bias") and k >= last - 1
+        for value, op in zip(got, (np.add, np.subtract)):
+            moved = theta.copy()
+            moved[sl] = op(theta[sl], delta)
+            fresh = _model(domain, tensorized)
+            fresh.set_flat(moved)
+            want = oracle(fresh, x, domain)
+            if split:
+                np.testing.assert_allclose(value, want, rtol=0, atol=1e-13 * np.abs(want).max(), err_msg=name)
+            else:
+                assert np.array_equal(value, want), name
 
 
 @pytest.mark.parametrize("tensorized", [True, False], ids=["tt", "dense"])
@@ -138,85 +148,66 @@ def test_one_off_holdout_forward_peaks_below_a_few_blocks(tensorized):
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])
 def test_global_probes_keep_no_full_size_hidden_activation(domain):
-    """Probes that change every layer, as under global grouping, restart from
-    layer 0 each time, so the forward keeps only the input of layer 0: a
-    repeated-rows forward peaks below one full-size hidden activation.  A
-    later probe on layer 1 recomputes layer 0 once and keeps its output from
-    then on.  Every forward equals a fresh model's."""
+    """A pair over every segment, as under global grouping, is two plain
+    forwards: it peaks below one full-size hidden activation, keeps nothing,
+    and each of its values equals a fresh model's."""
     model = _model(domain, True)
     rows = 3 * B + 146
     x = np.random.default_rng(0).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
     rng = np.random.default_rng(1)
     theta = model.get_flat()
     full_activation = rows * model.layers[0].n_out * 8
-
-    def fresh_forward():
-        fresh = _model(domain, True)
-        fresh.set_flat(theta)
-        return fresh(x)
-
     model(x)
     for _ in range(3):
         theta += 0.01 * rng.standard_normal(theta.shape)
+        delta = 0.01 * rng.standard_normal(theta.shape)
         model.set_flat(theta)
         tracemalloc.start()
         try:
-            got = model(x)
+            got = model.pair(x, slice(0, len(theta)), delta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < full_activation
-        assert set(model._cache.kept) == {0}
-        assert np.array_equal(got, fresh_forward())
-    start, stop = next((a, b) for name, a, b in model.segments() if name == "layer1.bias")
-    for kept in ({0, 1}, {1, 2}):
-        theta[start:stop] += 0.01
-        model.set_flat(theta)
-        got = model(x)
-        assert set(model._cache.kept) == kept
-        assert np.array_equal(got, fresh_forward())
+        assert model._cache.h is None
+        for value, op in zip(got, (np.add, np.subtract)):
+            fresh = _model(domain, True)
+            fresh.set_flat(op(theta, delta))
+            assert np.array_equal(value, fresh(x))
 
 
-@_MODELS
-def test_a_per_tensor_probe_keeps_the_output_of_its_restart_layer(domain, tensorized, monkeypatch):
-    """What a forward keeps follows from its own query.  On the same rows, in
-    `rge_estimate`'s order, a probe on layer 0 leaves layers 1 and 2 unchanged
-    and so keeps layer 0's output at once; the - probe on layer 1 then starts
-    from it and applies layer 0 on no block.  Every forward equals a fresh
-    model's."""
+@pytest.mark.parametrize(
+    "domain,tensorized,applies",
+    [
+        ("weight", True, [3, 8, 14]),
+        ("weight", False, [3, 6, 10]),
+        ("phase", True, [3, 7, 11]),
+        ("phase", False, [3, 7, 11]),
+    ],
+    ids=["weight-tt", "weight-dense", "phase-tt", "phase-dense"],
+)
+def test_a_step_applies_the_layers_below_each_probe_once(domain, tensorized, applies, monkeypatch):
+    """Black-Scholes layer applies per row block over one step's pairs, in
+    `rge_estimate`'s order.  A layer is applied once for its base product,
+    once per direction (a weight-domain weight below at most the output
+    layer), twice per pair that realizes both states of it, and twice per
+    pair on a layer below it; never for a pair on a layer above it.  Layer 1
+    of the TT model: 2 x 2 for the two pairs of layer 0, 1 for its product,
+    3 for its cores' directions.
+    """
     cfg = RunConfig(problem_name="black-scholes", domain=domain, model_tensorized=tensorized)
     model = build_run_model(cfg, 0)
-    layer0 = model.layers[0]
-    applies = []
-    apply = type(layer0).apply
+    counts = {id(layer): 0 for layer in model.layers}
+    for cls in {type(layer) for layer in model.layers}:
+        apply = cls.apply
 
-    def counted(self, *args):
-        applies.append(self is layer0)
-        apply(self, *args)
+        def counted(self, *args, apply=apply):
+            counts[id(self)] += 1
+            apply(self, *args)
 
-    monkeypatch.setattr(type(layer0), "apply", counted)
+        monkeypatch.setattr(cls, "apply", counted)
     x = np.random.default_rng(0).uniform([0.0, 0.0], [200.0, 1.0], size=(2 * B + 146, 2))
-    base = model.get_flat()
-    layer0_seg, layer1_seg = (
-        next(slice(a, b) for name, a, b in model.segments() if name.startswith(f"layer{k}.")) for k in (0, 1)
-    )
-
-    def query(shift, segment):
-        theta = base.copy()
-        theta[segment] += shift
-        model.set_flat(theta)
-        applies.clear()
-        got = model(x)
-        layer0_applies = sum(applies)
-        fresh = build_run_model(cfg, 0)
-        fresh.set_flat(theta)
-        assert np.array_equal(got, fresh(x))
-        return layer0_applies
-
-    assert query(0.0, layer0_seg) == 3  # base: new rows, one apply per row block
-    assert query(0.01, layer0_seg) == 3
-    assert set(model._cache.kept) == {0, 1}
-    assert query(0.01, layer1_seg) == 3  # layer 0 returns to its base parameters
-    assert set(model._cache.kept) == {0, 1}
-    assert query(-0.01, layer1_seg) == 0
-    assert set(model._cache.kept) == {1, 2}
+    rng = np.random.default_rng(1)
+    for _, start, stop in model.segments():
+        model.pair(x, slice(start, stop), 0.01 * rng.standard_normal(stop - start))
+    assert [counts[id(layer)] for layer in model.layers] == [3 * n for n in applies]  # three row blocks

@@ -8,8 +8,12 @@ import pytest
 
 from photopinn import training
 from photopinn.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
-from photopinn.config import parse_config
+from photopinn.config import RunConfig, parse_config
 from photopinn.training import NumericalFailure, _save_model, build_run_model, config_problem, evaluate_model
+
+
+# A Burgers run whose oracle directory holds no gridded reference.
+_NO_ORACLE = "problem.name = burgers\nrun.oracle_dir = no-such-oracle-dir"
 
 
 def _write_config(tmp_path, text):
@@ -156,6 +160,9 @@ def test_train_with_invalid_noise_or_point_count_exits_2_before_writing(key, raw
         ("opt.algorithm = sgd", "opt.beta1", "0.8", "opt.beta1 = 0.8 has no effect on black-scholes: opt.algorithm = sgd"),
         ("opt.algorithm = sgd", "opt.beta2", "0.99", "opt.beta2 = 0.99 has no effect on black-scholes: opt.algorithm"),
         ("opt.algorithm = sgd", "opt.eps", "1e-6", "opt.eps = 1e-06 has no effect on black-scholes: opt.algorithm = sgd"),
+        ("run.seeds = 1", "run.seed", "5", "run.seed = 5 has no effect on black-scholes: run.seeds lists the seeds"),
+        (_NO_ORACLE, "run.eval_every", "5", "run.eval_every = 5 has no effect on burgers: it has no hold-out reference"),
+        (_NO_ORACLE, "run.target_rel_l2", "0.1", "run.target_rel_l2 = 0.1 has no effect on burgers: it has no hold-out"),
     ],
     ids=[
         "hjb-initial_points",
@@ -175,6 +182,9 @@ def test_train_with_invalid_noise_or_point_count_exits_2_before_writing(key, raw
         "sgd-opt.beta1",
         "sgd-opt.beta2",
         "sgd-opt.eps",
+        "seeds-run.seed",
+        "no-reference-run.eval_every",
+        "no-reference-run.target_rel_l2",
     ],
 )
 def test_train_with_a_key_the_problem_ignores_exits_2_before_writing(setting, key, raw, message, tmp_path, capsys):
@@ -182,6 +192,13 @@ def test_train_with_a_key_the_problem_ignores_exits_2_before_writing(setting, ke
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs"), "--iterations", "1"]) == EXIT_CONFIG
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_problem_without_a_reference_takes_the_default_run_keys(tmp_path):
+    """The keys above are refused only away from their defaults, so a default
+    Burgers run with no oracle built still trains."""
+    cfg = RunConfig(problem_name="burgers", run_oracle_dir=str(tmp_path / "no-oracles"))
+    assert config_problem(cfg).reference is None
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])

@@ -1,21 +1,26 @@
 """Work reused across ZO probes against a cache-free oracle.
 
-A network reuses the layer prefix of its previous forward and the realized
-matrices of layers whose parameters did not change, in both domains.  The
-oracle builds a fresh model for every loss query, so nothing carries over
-between queries; every query through the training loss must equal it bit
-for bit.
+A network reuses the realization of a layer whose parameters did not
+change, and the pairs of one ZO step share one base forward, in both
+domains.  The oracle builds a fresh model for every loss query, so nothing
+carries over between queries.  Every plain query through the training loss
+must equal it bit for bit, and so must every pair value except those of a
+weight-domain weight segment below at most the output layer, which agree
+within a stated bound.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from photopinn.config import RunConfig
 from photopinn.models import build_model
-from photopinn.nets import DenseLayer, TTLayer
+from photopinn.nets import DenseLayer, Mlp, TTLayer
 from photopinn.pde import pinn_loss
 from photopinn.photonic import PhotonicDense, PhotonicTT, apply_nonidealities, block_phase_count, stage_neighbors
 from photopinn.training import build_run_model, config_problem, config_stein, evaluate_model, step_loss
+from photopinn.tensortrain import TTLayout
 from photopinn.zo import ParamView, ZoConfig, rge_estimate
 
 SEED = 3
@@ -74,28 +79,159 @@ def test_training_loss_equals_a_fresh_model_per_query(problem, domain, tensorize
         theta = theta - 0.05 * got / (np.abs(got).max() + 1e-12)
 
 
+# Bounds on the pair values of a weight-domain weight segment below at most
+# the output layer, whose product is split as (P +/- D) + b.  Measured on
+# these cases: L+/- moved by at most ~5e-9 relative and the estimate by
+# ~1.3e-7 of max |g_hat|, worst on Black-Scholes, whose sigma = 1e-3 Stein
+# stencil amplifies rounding by 1/sigma^2; the other problems stayed below
+# ~2e-11 on L+/-.  g_hat is (L+ - L-) / (2 mu) x xi, so it loses the digits
+# L+ and L- share.  Each bound leaves a factor of ~20 of room.
+PAIR_LOSS_RTOL = 1e-7
+PAIR_GRAD_RTOL = 3e-6
+
+
+@pytest.mark.parametrize("grouping", ["per-tensor", "global"])
+@pytest.mark.parametrize("problem,domain,tensorized", _CASES)
+def test_pair_path_equals_a_fresh_model_per_query(problem, domain, tensorized, grouping):
+    """`rge_estimate` takes the training loss's `pair`: every L+/- and every
+    entry of g_hat equals the fresh-model oracle bit for bit, except for the
+    split weight segments, which agree within the bounds above.  Two probes
+    per group, so probes share a base forward within a layer."""
+    cfg = _tiny_config(problem, domain, tensorized)
+    problem_ = config_problem(cfg)
+    stein = config_stein(cfg, problem_, SEED)
+    model = build_run_model(cfg, SEED)
+    theta = model.get_flat()
+    view = ParamView.from_segments(model.segments())
+    zo = ZoConfig(
+        queries=2,
+        radius=cfg.zo_radius_effective(),
+        distribution=cfg.zo_distribution_effective(),
+        grouping=grouping,
+        seed=SEED,
+    )
+    last = len(model.layers) - 1
+    groups = view.groups(grouping)
+
+    def split(name):
+        """A weight-domain weight segment below at most the output layer (not the global group)."""
+        head, _, tail = name.partition(".")
+        return domain == "weight" and tail not in ("", "bias") and int(head[len("layer") :]) >= last - 1
+
+    for step in range(2):  # the second step brings new rows and new base parameters
+        want_values, got_values = [], []
+        loss = step_loss(model, problem_, stein, SEED, step)
+
+        def fresh(th):
+            net = build_run_model(cfg, SEED)
+            net.set_flat(th)
+            want_values.append(pinn_loss(problem_.transform(net), problem_, stein, SEED, step)[0])
+            return want_values[-1]
+
+        def paired(th):
+            raise AssertionError("a loss with pair is asked for pairs only")
+
+        def pair(th, sl, delta):
+            got_values.extend(loss.pair(th, sl, delta))
+            return got_values[-2:]
+
+        paired.pair = pair
+        want, _ = rge_estimate(fresh, theta, view, zo, step)
+        got, _ = rge_estimate(paired, theta, view, zo, step)
+        per_group = 2 * zo.queries
+        assert len(got_values) == len(want_values) == per_group * len(groups)
+        for i, (name, sl) in enumerate(groups):
+            pair_got, pair_want = (values[per_group * i : per_group * (i + 1)] for values in (got_values, want_values))
+            if split(name):
+                np.testing.assert_allclose(pair_got, pair_want, rtol=PAIR_LOSS_RTOL, atol=0, err_msg=name)
+                assert np.abs(got[sl] - want[sl]).max() <= PAIR_GRAD_RTOL * np.abs(want).max(), name
+            else:
+                assert np.array_equal(pair_got, pair_want), name
+                assert np.array_equal(got[sl], want[sl]), name
+        theta = theta - 0.05 * got / (np.abs(got).max() + 1e-12)
+
+
+def test_a_split_pair_is_exact_on_integers():
+    """A TT layer, then a dense output layer, with small-integer cores,
+    inputs and delta: every product and sum before the activation is exact,
+    so the (P +/- D) + b split of a core pair, and the bias pairs, equal two
+    plain forwards at theta +/- delta bit for bit.  A wrong core slot, sign
+    or bias would change an exact integer."""
+    layout = TTLayout((2, 3), (3, 2), (1, 2, 1))
+    rng = np.random.default_rng(0)
+    layers = [TTLayer(layout), DenseLayer(layout.rows, 1)]
+    params = [[np.zeros(layout.core_shape(k)) for k in range(2)], [np.zeros((1, layout.rows))]]
+    model = Mlp(layers, params)
+    theta = rng.integers(-1, 2, model.n_params).astype(float)
+    x = rng.integers(-1, 2, (40, layout.cols)).astype(float)
+    for name, start, stop in model.segments():
+        if name == "layer1.weight":
+            continue  # its pair splits the product of tanh outputs, which rounds
+        delta = rng.integers(-2, 3, stop - start).astype(float)
+        model.set_flat(theta)
+        got = model.pair(x, slice(start, stop), delta)
+        for value, op in zip(got, (np.add, np.subtract)):
+            moved = theta.copy()
+            moved[start:stop] = op(theta[start:stop], delta)
+            plain = Mlp(layers, params)
+            plain.set_flat(moved)
+            assert np.array_equal(value, plain(x)), name
+
+
+def test_a_warm_step_holds_two_full_size_arrays_beside_the_block_buffers():
+    """A per-tensor Black-Scholes TT step keeps the probed layer's base input
+    and product, two (rows x 128) arrays, and allocates no other full-size
+    array once warm: the next step's pairs reuse them."""
+    cfg = RunConfig(problem_name="black-scholes", model_tensorized=True)
+    problem = config_problem(cfg)
+    stein = config_stein(cfg, problem, SEED)
+    model = build_run_model(cfg, SEED)
+    theta = model.get_flat()
+    view = ParamView.from_segments(model.segments())
+    zo = ZoConfig(seed=SEED)
+    rge_estimate(step_loss(model, problem, stein, SEED, 0), theta, view, zo, 0)
+    rows = len(model._cache.rows)
+    full_size = rows * 128 * 8
+    assert sum(buffer.nbytes for buffer in model._cache._full) == 2 * full_size
+    tracemalloc.start()
+    try:
+        rge_estimate(step_loss(model, problem, stein, SEED, 1), theta, view, zo, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model._cache.rows) == rows
+    assert peak < full_size
+
+
 def test_writing_into_the_flat_vector_reaches_the_next_forward(rng):
-    """An in-place write into a vector passed to `set_flat` again, as
-    `rge_estimate` does with its probe, is seen: into layer 0, which feeds the
-    kept input of layer 1, then into a core of the TT layer 1, whose
-    reconstructed matrix must be rebuilt."""
+    """An in-place write into a vector passed to `set_flat` again, as a
+    caller may do with its probe, is seen: the pairs' base forward restarts
+    on the same rows after a write into layer 0, and a write into a core of
+    the TT layer 1 rebuilds its realized matrix."""
     model = build_model("black-scholes", tensorized=True, seed=0)
     theta = model.get_flat()
-    model.set_flat(theta)
     x = rng.uniform([0.0, 0.0], [200.0, 1.0], size=(40, 2))
-    model(x)
-    before = model(x)
+    spans = {name: slice(start, stop) for name, start, stop in model.segments()}
+    probe, delta = spans["layer2.bias"], np.array([0.01])
+    model.set_flat(theta)
+    before = model.pair(x, probe, delta)
     for segment in ("layer0.weight", "layer1.core0"):
-        assert set(model._cache.kept) == {0, 1}  # the same rows twice in a row
-        start, stop = next((a, b) for name, a, b in model.segments() if name == segment)
-        theta[start:stop] += 0.1
+        theta[spans[segment]] += 0.1
         model.set_flat(theta)
-        after = model(x)
-        fresh = build_model("black-scholes", tensorized=True, seed=0)
-        fresh.set_flat(theta.copy())
-        assert not np.array_equal(after, before), segment
-        assert np.array_equal(after, fresh(x)), segment
+        after = model.pair(x, probe, delta)
+        for value, op in zip(after, (np.add, np.subtract)):
+            moved = theta.copy()
+            moved[probe] = op(theta[probe], delta)
+            fresh = build_model("black-scholes", tensorized=True, seed=0)
+            fresh.set_flat(moved)
+            assert np.array_equal(value, fresh(x)), segment
+        assert not np.array_equal(after[0], before[0]), segment
         before = after
+    theta[spans["layer1.core1"]] += 0.1
+    model.set_flat(theta)
+    fresh = build_model("black-scholes", tensorized=True, seed=0)
+    fresh.set_flat(theta.copy())
+    assert np.array_equal(model(x), fresh(x))
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])
@@ -118,21 +254,23 @@ def test_set_flat_copies_a_vector_of_the_model_length(domain):
 
 @pytest.mark.parametrize("tensorized", [True, False], ids=["tt", "dense"])
 @pytest.mark.parametrize("domain", ["weight", "phase"])
-def test_a_phase_layer_is_realized_once_per_distinct_phase_state(domain, tensorized, monkeypatch):
-    """A layer returns to its base parameters (weights or phases) after its
-    own +/- probes; that state is taken from the layer's recent realizations,
-    not realized again."""
+def test_a_layer_is_realized_once_per_state_a_step_needs(domain, tensorized, monkeypatch):
+    """Over a ZO step's pairs a layer is realized at its base parameters
+    once, then per parameter group at both probe states (phases, or a weight
+    below two or more layers), or once at the direction (a weight below at
+    most the output layer).  The logging query realizes each layer at the
+    new parameters once, and the hold-out evaluation after it reuses that."""
     cfg = _tiny_config("black-scholes", domain, tensorized)
     problem = config_problem(cfg)
     stein = config_stein(cfg, problem, SEED)
     model = build_run_model(cfg, SEED)
-    calls = {}
+    calls = {id(layer): 0 for layer in model.layers}
 
     def count(cls, name):
         original = getattr(cls, name)
 
         def counted(layer, params):
-            calls[id(layer)] = calls.get(id(layer), 0) + 1
+            calls[id(layer)] += 1
             return original(layer, params)
 
         monkeypatch.setattr(cls, name, counted)
@@ -143,45 +281,39 @@ def test_a_phase_layer_is_realized_once_per_distinct_phase_state(domain, tensori
     else:
         count(DenseLayer, "realize")
         count(TTLayer, "realize")
-    # a layer's parameters run from the end of the previous layer's bias to the start of its own
-    biases = [(a, b) for name, a, b in model.segments() if name.endswith(".bias")]
-    param_spans = [(prev[1], a) for prev, (a, _) in zip([(0, 0)] + biases, biases)]
-    states = [set() for _ in model.layers]
+    last = len(model.layers) - 1
+    per_group = [1 if domain == "weight" and k >= last - 1 else 2 for k in range(len(model.layers))]
+    per_step = [1 + per_group[k] * len(layer.shapes) for k, layer in enumerate(model.layers)]
 
-    def loss_at(step):
-        loss = step_loss(model, problem, stein, SEED, step)
-
-        def fn(th):
-            for seen, (a, b) in zip(states, param_spans):
-                seen.add(th[a:b].tobytes())
-            return loss(th)
-
-        return fn
+    def realized():
+        return [calls[id(layer)] for layer in model.layers]
 
     theta = model.get_flat()
     view = ParamView.from_segments(model.segments())
     zo = ZoConfig(radius=cfg.zo_radius_effective(), distribution=cfg.zo_distribution_effective(), seed=SEED)
     for step in range(3):
-        grad, _ = rge_estimate(loss_at(step), theta, view, zo, step)
+        grad, _ = rge_estimate(step_loss(model, problem, stein, SEED, step), theta, view, zo, step)
         theta = theta - 0.05 * grad / (np.abs(grad).max() + 1e-12)
-    assert [calls[id(layer)] for layer in model.layers] == [len(seen) for seen in states]
-    groups = [len(layer.shapes) for layer in model.layers]  # probed parameter groups per layer
-    assert [len(seen) for seen in states] == [3 * (1 + 2 * g) for g in groups]  # base, + and - per group and step
+        assert realized() == [(step + 1) * n for n in per_step]
+    step_loss(model, problem, stein, SEED, 3)(theta)
+    evaluate_model(model, problem)
+    assert realized() == [3 * n + 1 for n in per_step]
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])
 def test_holdout_forward_keeps_no_activation(domain):
+    """The pairs keep the probed layer's base input; a plain forward, such as
+    the hold-out evaluation, drops it and its buffers."""
     cfg = _tiny_config("black-scholes", domain, True)
     problem = config_problem(cfg)
     stein = config_stein(cfg, problem, SEED)
     model = build_run_model(cfg, SEED)
     loss = step_loss(model, problem, stein, SEED, 0)
-    theta = model.get_flat()
-    loss(theta)
-    loss(theta)
-    assert len(model._cache.kept) == 2
+    start, stop = next((a, b) for name, a, b in model.segments() if name == "layer1.bias")
+    loss.pair(model.get_flat(), slice(start, stop), np.full(stop - start, 0.01))
+    assert model._cache.layer == 1 and model._cache.product is not None
     evaluate_model(model, problem)
-    assert model._cache.kept == {}
+    assert model._cache.h is None and model._cache._full == [None, None]
 
 
 def test_layer_noise_equals_the_whole_model_pipeline():

@@ -102,6 +102,37 @@ def test_query_accounting():
     assert len(calls) == q
 
 
+@pytest.mark.parametrize("grouping", ["per-tensor", "global"])
+def test_a_loss_with_pair_is_asked_for_both_values_at_once(grouping):
+    """`pair(theta, sl, delta)` replaces the two queries of each probe: it
+    sees the base theta, the group's slice and mu x xi, and, answering with
+    the values at theta[sl] +/- delta, gives the plain estimate bit for bit
+    and the same query count."""
+    view = make_view(2, 3, 4)
+    cfg = ZoConfig(queries=2, radius=0.05, grouping=grouping, seed=4)
+    theta = np.linspace(-1.0, 1.0, 9)
+    f = lambda th: float(np.sum(np.sin(3.0 * th) * th))
+    asked = []
+
+    def loss(th):
+        raise AssertionError("a loss with pair is asked for pairs only")
+
+    def pair(th, sl, delta):
+        asked.append(sl)
+        assert np.array_equal(th, theta)
+        plus, minus = th.copy(), th.copy()
+        plus[sl] = th[sl] + delta
+        minus[sl] = th[sl] - delta
+        return f(plus), f(minus)
+
+    loss.pair = pair
+    got, q = rge_estimate(loss, theta, view, cfg, step=3)
+    want, q_plain = rge_estimate(f, theta, view, cfg, step=3)
+    assert np.array_equal(got, want)
+    assert q == q_plain == 2 * len(asked)
+    assert asked == [sl for _, sl in view.groups(grouping) for _ in range(cfg.queries)]
+
+
 def test_nonfinite_loss_aborts_with_key():
     view = make_view(4)
     loss = lambda th: float("nan")
