@@ -28,8 +28,6 @@ from .config import ConfigError
 from .nets import DenseLayer, TensorizedMlp, TTLayer
 from .pde import PROBLEM_NAMES
 from .pde import black_scholes as bs
-from .photonic.model import PhotonicDense, PhotonicMlp, PhotonicTT, random_phases
-from .photonic.noise import NoiseModel
 from .tensortrain import TTLayout, tt_init
 
 __all__ = ["Architecture", "architecture", "build_model", "phase_layers", "build_phase_model"]
@@ -140,6 +138,8 @@ def build_model(
 
 def phase_layers(arch: Architecture) -> list:
     """The photonic realization of each layer: a PhotonicTT per TTLayout, else a PhotonicDense."""
+    from .photonic.model import PhotonicDense, PhotonicTT
+
     return [PhotonicTT(l) if isinstance(l, TTLayout) else PhotonicDense(*l) for l in arch.layers]
 
 
@@ -152,6 +152,8 @@ def build_phase_model(
     noise: NoiseModel | None = None,
 ) -> PhotonicMlp:
     """Phase-domain model: every layer draws its phases from default_rng(seed) in draw order."""
+    from .photonic.model import PhotonicMlp, random_phases
+
     arch = architecture(problem, tensorized, rank, width)
     layers = phase_layers(arch)
     rng = np.random.default_rng(seed)

@@ -15,19 +15,26 @@ Each layer keeps one realization, of the parameters it was last realized
 at, and realizes again only when they change: a hold-out evaluation reuses
 the realizations of the logging query before it.
 
-Forwards stream their rows through the network in blocks of `BLOCK_ROWS`
-rows: each block passes through every layer before the next block starts,
-in two block buffers the network's `PrefixCache` owns and recycles, so an
-intermediate is never larger than BLOCK_ROWS x width.  A plain call keeps
-nothing.
+Every forward is one pass over its rows in blocks of `BLOCK_ROWS` rows, or
+of the widest layer's width where that is larger: each block passes through
+every layer before the next block starts.  Intermediates live in block
+buffers of (block rows + 1) x the widest layer,
+two for a plain forward and four for `pairs`, allocated once per pass and
+freed when it ends.  So no array of a pass grows with rows x width, only its
+inputs and outputs grow with the rows, and a forward keeps nothing: the
+memory bound of a pass is its block buffers, the realizations it makes
+(they grow with the parameters and the probes, not the rows), and its
+inputs and outputs.
 
-`Mlp.pair(x, sl, delta)` gives the outputs at theta with theta[sl] + delta
-and with theta[sl] - delta: the two loss queries of one ZO probe.  The pairs
-of a step share one base forward.  The cache keeps the probed layer k's base
-input h_k and pre-bias product P_k = h_k W_k^T for the step's rows, and turns
-P_k into h_{k+1} in place when the pairs move up a layer; the layers above k
-run at their base realizations.  Layer k's pre-activations z+ and z- depend
-on what the pair probes:
+`Mlp.pairs(x, probes)` gives, per probe (sl, delta), the outputs at theta
+with theta[sl] + delta and with theta[sl] - delta: all loss queries of one
+ZO step in one pass.  Each probe's direction or probe states are realized
+once, before the first block.  Per block, one base forward runs
+layer by layer at theta; at layer k it holds the base input h_k (buffer 0 or
+1) and the pre-bias product P_k = h_k W_k^T (the other one), and every probe
+of layer k takes its two outputs from them, in buffers 2 and 3, with the
+layers above k at their base realizations.  Layer k's pre-activations z+ and
+z- depend on what the probe moves:
 
 - a bias: z = P_k + (b +/- delta), byte-identical to two plain forwards;
 - a segment of a multilinear layer (a dense weight or one TT core) with at
@@ -39,32 +46,43 @@ on what the pair probes:
   values move by up to ~5e-9 relative (tests/test_reuse.py states the bound);
 - any other segment (phases, or a deeper weight layer): both states
   realized, as a chip reprograms its shifters; byte-identical;
-- a slice over several segments (global grouping), or any slice that is
-  not one whole segment: two plain forwards.
+- a slice that is not one whole segment (global grouping): every layer at
+  theta +/- delta, from layer 0; byte-identical.  A pass whose probes are
+  all of this kind runs no base forward.
+
+Its outputs are 2 x probes x rows x outputs floats.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensortrain import TTCores, TTLayout, tt_forward, tt_reconstruct
 
-__all__ = ["Mlp", "DenseLayer", "TTLayer", "TensorizedMlp", "PrefixCache", "BLOCK_ROWS"]
+__all__ = ["Mlp", "DenseLayer", "TTLayer", "TensorizedMlp", "BLOCK_ROWS"]
 
-# Rows per forward block.  Block edges fall on multiples of every GEMM row
-# unroll, so each row meets the same BLAS kernel as in one GEMM over all rows
-# and the forward is byte-identical to the unblocked one (checked on every
-# loss query of the 16 problem x domain x layer-kind models over 4 ZO steps).
-# A Black-Scholes loss query (1,170 rows) fits in one block.
-BLOCK_ROWS = 2048
+# Rows per forward block, at least.  The four block buffers of a `pairs` pass
+# at width 128 take 1 MiB, half the 2 MiB L2 of one core of the x86-64 host
+# these were sized on; 512 rows ran as fast but fill all of it.  A wider net
+# takes blocks of its widest layer's width: each block's GEMM re-reads the
+# layer matrix, which no longer stays in L2, and 256-row blocks made a
+# 512-wide HJB step 3.5% slower than 512-row ones.  Every row meets the same
+# BLAS kernel as in one GEMM over all rows, so the forward is byte-identical
+# to the unblocked one (checked on every loss query of the 16 problem x
+# domain x layer-kind models over 4 ZO steps, and on training runs at 2,048,
+# 512 and 256 rows).
+BLOCK_ROWS = 256
 
 _ACTIVATIONS = {
     "tanh": np.tanh,
     "sine": np.sin,
 }
+
+_SIGNS = (np.add, np.subtract)  # the + and - probe states
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -76,80 +94,27 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of at most BLOCK_ROWS rows covering n rows."""
-    edges = list(range(0, n, BLOCK_ROWS)) + [n]
+def _row_blocks(n: int, size: int) -> list[slice]:
+    """Slices of at most `size` rows covering n rows."""
+    edges = list(range(0, n, size)) + [n]
     if len(edges) > 2 and n - edges[-2] == 1:
         del edges[-2]  # a lone last row would take numpy's GEMV path, not GEMM: join it to the block before
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-class PrefixCache:
-    """What the pairs of one ZO step share, and the block buffers of every forward.
+@dataclass(frozen=True)
+class _Probe:
+    """One probe of a `pairs` pass, realized: layer k and what moves there.
 
-    The pairs' base forward: the rows and base theta it ran at, the probed
-    layer `layer`, its base input `h` and, once a pair needed it, its
-    pre-bias product `product`.
-
-    Memory: `h` and `product` are views into two full-size buffers, each
-    grown to the widest (rows x width) view it has held, so until a pair
-    needs a hidden product, layer 0's input takes only rows x inputs; every
-    other intermediate lives in one of two block buffers, each
-    (BLOCK_ROWS + 1) x the widest layer.  The buffers persist across calls,
-    so a forward allocates no array per block and, once warm, the pairs none
-    per step: a fresh (block x width) array per layer and block would be
-    served by mmap above glibc's mmap threshold and page-faulted in anew
-    every time.  A plain forward drops the full-size buffers, so a hold-out
-    evaluation does not hold them.
+    Exactly one of `biases`, `direction` and `states` is set for a probe of
+    one segment of layer k; a probe of any other slice has k = -1 and
+    `states`, the (+, -) realizations of every layer, with `biases`.
     """
 
-    def __init__(self, widest: int):
-        self.widest = widest  # columns of a block buffer: the widest layer
-        self.rows: np.ndarray | None = None
-        self.theta: np.ndarray | None = None
-        self.layer = 0
-        self.h: np.ndarray | None = None
-        self.product: np.ndarray | None = None
-        self._slot = 0  # the full-size buffer h lives in; product lives in the other
-        self._full: list = [None, None]
-        self._blocks: np.ndarray | None = None
-
-    def holds(self, x: np.ndarray, theta: np.ndarray) -> bool:
-        """Whether the base forward ran on rows x at theta."""
-        return self.rows is not None and _same_bits(self.rows, x) and _same_bits(self.theta, theta)
-
-    def start(self, x: np.ndarray, theta: np.ndarray, width: int) -> np.ndarray:
-        """Begin a base forward on rows x at theta; returns the (rows x width) array for h."""
-        self.rows, self.theta, self.layer, self.product = x.copy(), theta.copy(), 0, None
-        self.h = self._full_view(self._slot, width)
-        return self.h
-
-    def new_product(self, width: int) -> np.ndarray:
-        """The (rows x width) array for the product, in the buffer h does not use."""
-        self.product = self._full_view(1 - self._slot, width)
-        return self.product
-
-    def advance(self) -> None:
-        """The product, now activated, is the next layer's input."""
-        self.h, self.product, self._slot, self.layer = self.product, None, 1 - self._slot, self.layer + 1
-
-    def release(self) -> None:
-        self.rows = self.theta = self.h = self.product = None
-        self._full = [None, None]
-
-    def block(self, parity: int, rows: int, width: int) -> np.ndarray:
-        """A contiguous (rows, width) view into block buffer `parity`."""
-        if self._blocks is None:
-            self._blocks = np.empty((2, (BLOCK_ROWS + 1) * self.widest))  # a block has at most BLOCK_ROWS + 1 rows
-        return self._blocks[parity, : rows * width].reshape(rows, width)
-
-    def _full_view(self, slot: int, width: int) -> np.ndarray:
-        """A contiguous (rows, width) view into full-size buffer `slot`, grown if too small."""
-        size = len(self.rows) * width
-        if self._full[slot] is None or len(self._full[slot]) < size:
-            self._full[slot] = None  # free the old buffer before allocating
-            self._full[slot] = np.empty(size)
-        return self._full[slot][:size].reshape(len(self.rows), width)
+    k: int
+    biases: tuple | None = None  # b +/- delta; per state, every layer's bias when k = -1
+    direction: object = None
+    states: tuple | None = None
 
 
 class Mlp:
@@ -160,10 +125,10 @@ class Mlp:
     parameters, one array per entry of its `shapes`, and biases start at
     zero.  `set_flat` copies into theta, so the model owns its store.
 
-    Realizations and the pairs' base forward are reused only while the
-    parameters they came from compare equal bit for bit to copies, so an
-    in-place write into a vector the caller passes to `set_flat` again is
-    seen.
+    A realization is reused only while the parameters it came from compare
+    equal bit for bit to a copy, so an in-place write into a vector the
+    caller passes to `set_flat` again is seen.  A call is one plain forward;
+    `pairs` runs all probe pairs of a ZO step in one pass (module docstring).
     """
 
     def __init__(
@@ -208,8 +173,9 @@ class Mlp:
             pos += layer.n_out
         self._theta = np.concatenate(chunks, dtype=np.float64)
         self._widths = [dim] + [layer.n_out for layer in layers]  # layer k maps width k to width k + 1
+        self._block_rows = max(BLOCK_ROWS, *self._widths)
         self._realized = [None for _ in layers]  # per layer: (parameters, realization), the last realized
-        self._cache = PrefixCache(max(self._widths))
+        self._blocks: np.ndarray | None = None  # the block buffers of the running pass
 
     # -- flat store: per layer, its parameters then its bias ----------------
 
@@ -240,29 +206,52 @@ class Mlp:
         params = self._theta[self._param_slices[k]]
         last = self._realized[k]
         if last is None or not _same_bits(last[0], params):
+            last = self._realized[k] = None  # free the old realization before making the new one
             last = self._realized[k] = (params.copy(), self.layers[k].realize(self._effective(k, params)))
         return last[1]
 
     def _bias(self, k: int) -> np.ndarray:
         return self._theta[self._bias_slices[k]]
 
-    def _embed(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Layer 0's input for rows x: the affinely normalized coordinates."""
-        np.subtract(x, self.input_shift, out=out)
+    @contextmanager
+    def _pass_buffers(self, count: int):
+        """`count` block buffers for the pass run inside; a block has at most _block_rows + 1 rows.
+
+        One allocation per pass, none per block or layer.  They are freed
+        when the pass ends, so they never sit beside a realization's
+        temporaries, which run before a pass's first block.
+        """
+        self._blocks = np.empty((count, (self._block_rows + 1) * max(self._widths)))
+        try:
+            yield
+        finally:
+            self._blocks = None
+
+    def _block(self, slot: int, rows: int, width: int) -> np.ndarray:
+        """A contiguous (rows, width) view into block buffer `slot` of the running pass."""
+        return self._blocks[slot, : rows * width].reshape(rows, width)
+
+    def _embed(self, x: np.ndarray, rows: slice) -> np.ndarray:
+        """Layer 0's input for x[rows], in block buffer 0: the affinely normalized coordinates."""
+        out = self._block(0, rows.stop - rows.start, self._widths[0])
+        np.subtract(x[rows], self.input_shift, out=out)
         out *= self.input_scale
+        return out
 
     def _activate(self, k: int, z: np.ndarray) -> None:
         """The activation, in place, on the output of every layer but the last."""
         if k < len(self.layers) - 1:
             _ACTIVATIONS[self.activation](z, out=z)
 
-    def _run(self, first: int, a: np.ndarray, parity: int, dest: np.ndarray, realized: list) -> None:
-        """Layers first.. at `realized` on block a, held in block buffer `parity`; the last writes dest."""
+    def _run(self, first: int, a: np.ndarray, slots: tuple, dest: np.ndarray, realized, biases) -> None:
+        """Layers first.. at `realized` and `biases` on block a: their outputs
+        alternate between block buffers slots[1] and slots[0], and the last
+        layer writes dest.  a must not sit in slots[1]."""
         last = len(self.layers) - 1
         for k in range(first, last + 1):
-            parity ^= 1
-            out = dest if k == last else self._cache.block(parity, len(a), self._widths[k + 1])
-            self.layers[k].apply(a, out, realized[k], self._bias(k))
+            slots = slots[::-1]
+            out = dest if k == last else self._block(slots[0], len(a), self._widths[k + 1])
+            self.layers[k].apply(a, out, realized[k], biases[k])
             self._activate(k, out)
             a = out
 
@@ -275,91 +264,97 @@ class Mlp:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x = np.atleast_2d(x)
-        self._cache.release()
         realized = [self._realization(k) for k in range(len(self.layers))]
+        biases = [self._bias(k) for k in range(len(self.layers))]
         out = np.empty((len(x), self._widths[-1]))
-        for rows in _row_blocks(len(x)):
-            a = self._cache.block(0, rows.stop - rows.start, self._widths[0])
-            self._embed(x[rows], a)
-            self._run(0, a, 0, out[rows], realized)
+        with self._pass_buffers(2):
+            for rows in _row_blocks(len(x), self._block_rows):
+                self._run(0, self._embed(x, rows), (0, 1), out[rows], realized, biases)
         out = self._output(out)
         return out[0] if single else out
 
-    def pair(self, x: np.ndarray, sl: slice, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self, x: np.ndarray, probes) -> np.ndarray:
         """The outputs for 2-D rows x at theta with theta[sl] + delta and with
-        theta[sl] - delta, by the rules in the module docstring."""
+        theta[sl] - delta, per probe (sl, delta) of the iterable `probes`: an
+        array (probes, 2, rows), by the rules in the module docstring.  Each
+        delta is read once, before the first block."""
+        x = np.asarray(x, dtype=float)
+        plans = [self._probe(sl, delta) for sl, delta in probes]
+        top = max((p.k for p in plans), default=-1)  # the base forward runs up to the top probed layer
+        whole = [(i, p) for i, p in enumerate(plans) if p.k < 0]  # the probes of no single segment
+        by_layer = [[(i, p) for i, p in enumerate(plans) if p.k == k] for k in range(top + 1)]
+        # the base product P_k feeds the layers above k, and the bias and direction probes of layer k
+        needs_product = [k < top or any(p.states is None for _, p in by_layer[k]) for k in range(top + 1)]
+        realized = [self._realization(j) for j in range(len(self.layers))] if top >= 0 else None
+        biases = [self._bias(j) for j in range(len(self.layers))]
+        out = np.empty((len(plans), 2, len(x), self._widths[-1]))
+        with self._pass_buffers(4):
+            for rows in _row_blocks(len(x), self._block_rows):
+                h = self._embed(x, rows)
+                for i, p in whole:
+                    for s in range(2):
+                        self._run(0, h, (3, 2), out[i, s, rows], p.states[s], p.biases[s])
+                for k in range(top + 1):
+                    product = None
+                    if needs_product[k]:
+                        product = self._block((k + 1) % 2, len(h), self._widths[k + 1])
+                        self.layers[k].apply(h, product, realized[k])
+                    for i, p in by_layer[k]:
+                        self._probe_outputs(k, p, h, product, out[i, :, rows], realized, biases)
+                    if k < top:
+                        product += biases[k]
+                        self._activate(k, product)
+                        h = product
+        return self._output(out)
+
+    def _probe(self, sl: slice, delta: np.ndarray) -> _Probe:
+        """What a probe (sl, delta) moves, realized once for the whole pass."""
         k = self._segment_layer.get((sl.start, sl.stop))
         if k is None:
-            return self._plain_pair(x, sl, delta)
-        x = np.asarray(x, dtype=float)
-        last, cache = len(self.layers) - 1, self._cache
-        layer, bias, params = self.layers[k], self._bias(k), self._theta[self._param_slices[k]]
-        realized = [self._realization(j) for j in range(len(self.layers))]
-        if not cache.holds(x, self._theta) or cache.layer > k:
-            self._embed(x, cache.start(x, self._theta, self._widths[0]))
-        while cache.layer < k:
-            p = self._product(realized)
-            p += self._bias(cache.layer)
-            self._activate(cache.layer, p)
-            cache.advance()
-
-        biases = direction = states = None
+            states, biases = [], []
+            for op in _SIGNS:
+                moved = self._theta.copy()
+                moved[sl] = op(self._theta[sl], delta)
+                states.append([layer.realize(self._effective(j, moved[self._param_slices[j]]))
+                               for j, layer in enumerate(self.layers)])
+                biases.append([moved[b] for b in self._bias_slices])
+            return _Probe(-1, biases=tuple(biases), states=tuple(states))
+        bias = self._bias(k)
         if sl.start == self._bias_slices[k].start:
-            biases = [bias + delta, bias - delta]
-        else:
-            part = slice(sl.start - self._param_slices[k].start, sl.stop - self._param_slices[k].start)
-            if layer.multilinear and k >= last - 1:
-                moved = params.copy()
-                moved[part] = delta
-                direction = layer.realize(moved)
+            return _Probe(k, biases=(bias + delta, bias - delta))
+        layer, params = self.layers[k], self._theta[self._param_slices[k]]
+        part = slice(sl.start - self._param_slices[k].start, sl.stop - self._param_slices[k].start)
+        if layer.multilinear and k >= len(self.layers) - 2:
+            moved = params.copy()
+            moved[part] = delta
+            return _Probe(k, direction=layer.realize(moved))
+        states = []
+        for op in _SIGNS:
+            moved = params.copy()
+            moved[part] = op(params[part], delta)
+            states.append(layer.realize(self._effective(k, moved)))
+        return _Probe(k, states=tuple(states))
+
+    def _probe_outputs(self, k, p: _Probe, h, product, dest, realized, biases) -> None:
+        """Both outputs of probe p on layer k for one block, from its base input
+        h and pre-bias product; dest is (2, block rows, outputs)."""
+        last = len(self.layers) - 1
+        layer = self.layers[k]
+        if p.direction is not None:
+            d = self._block(3, len(h), self._widths[k + 1])
+            layer.apply(h, d, p.direction)
+        for s, op in enumerate(_SIGNS):
+            z = dest[s] if k == last else self._block(2, len(h), self._widths[k + 1])
+            if p.states is not None:
+                layer.apply(h, z, p.states[s], biases[k])
+            elif p.direction is not None:
+                op(product, d, out=z)
+                z += biases[k]
             else:
-                states = []
-                for op in (np.add, np.subtract):
-                    moved = params.copy()
-                    moved[part] = op(params[part], delta)
-                    states.append(layer.realize(self._effective(k, moved)))
-        product = self._product(realized) if states is None else None
-
-        out = np.empty((2, len(x), self._widths[-1]))
-        for rows in _row_blocks(len(x)):
-            m, h = rows.stop - rows.start, cache.h[rows]
-            if direction is not None:
-                d = cache.block(0, m, self._widths[k + 1])  # block buffer 0 holds D; layer k's output goes to 1
-                layer.apply(h, d, direction)
-            for i, op in enumerate((np.add, np.subtract)):
-                z = out[i, rows] if k == last else cache.block(1, m, self._widths[k + 1])
-                if biases is not None:
-                    np.add(product[rows], biases[i], out=z)
-                elif direction is not None:
-                    op(product[rows], d, out=z)
-                    z += bias
-                else:
-                    layer.apply(h, z, states[i], bias)
-                if k < last:
-                    self._activate(k, z)
-                    self._run(k + 1, z, 1, out[i, rows], realized)
-        return tuple(self._output(out))
-
-    def _product(self, realized: list) -> np.ndarray:
-        """The probed layer's base pre-bias product h W^T, computed once per base forward and layer."""
-        cache = self._cache
-        if cache.product is None:
-            k = cache.layer
-            p = cache.new_product(self._widths[k + 1])
-            for rows in _row_blocks(len(p)):
-                self.layers[k].apply(cache.h[rows], p[rows], realized[k])
-        return cache.product
-
-    def _plain_pair(self, x: np.ndarray, sl: slice, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two plain forwards, for a slice that is not one segment."""
-        base = self._theta.copy()
-        try:
-            self._theta[sl] = base[sl] + delta
-            plus = self(x)
-            self._theta[sl] = base[sl] - delta
-            return plus, self(x)
-        finally:
-            self._theta[:] = base
+                np.add(product, p.biases[s], out=z)
+            if k < last:
+                self._activate(k, z)
+                self._run(k + 1, z, (2, 3), dest[s], realized, biases)
 
 
 class TensorizedMlp(Mlp):

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, sqrt
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "InvalidDimensionError",
     "rule_1d",
     "build_sparse_grid",
-    "sparse_integrate",
     "save_grid",
     "SteinPlan",
 ]
@@ -197,17 +196,6 @@ def cached_grid(dim: int, level: int) -> SparseGrid:
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = build_sparse_grid(dim, level)
     return _GRID_CACHE[key]
-
-
-def sparse_integrate(grid: SparseGrid, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Return sum_j w_j f(node_j).  f maps an (n, dim) batch to (n,) or (n, m)."""
-    vals = np.asarray(f(grid.nodes), dtype=float)
-    if vals.shape[0] != len(grid):
-        raise QuadratureError(
-            f"f returned {vals.shape[0]} values for {len(grid)} nodes; "
-            f"check the input dimension (grid dim is {grid.dim})"
-        )
-    return np.tensordot(grid.weights, vals, axes=(0, 0))
 
 
 def save_grid(grid: SparseGrid, path) -> None:

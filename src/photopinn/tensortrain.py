@@ -17,7 +17,9 @@ counts) lives in the cores, not in the order of the CPU contraction.
 A network reconstructs a TT layer when it realizes the layer, once per new
 parameter state and not once per forward (`nets.Mlp`): from the stored cores
 in the weight domain, from the cores its phases realize in the phase domain.
-It then passes the matrix to `tt_forward` for every row block.
+A ZO step's probe states and directions are reconstructed once per step,
+before its pass over the rows.  The network then passes each matrix to
+`tt_forward` once per row block of `nets.BLOCK_ROWS` rows.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .models import Architecture, architecture, build_model, build_phase_model
 from .pde import get_problem, holdout_reference, pinn_loss, relative_l2, step_inputs
 from .pde.problems import PinnProblem
-from .photonic.noise import NoiseModel
 from .quadrature import SteinConfig
 from .zo import AdamState, DivergenceError, ParamView, ZoConfig, rge_estimate, zo_adam_step, zo_sgd_step
 
@@ -140,6 +139,8 @@ def build_run_model(cfg: RunConfig, seed: int):
     args = (cfg.problem_name, cfg.model_tensorized, cfg.model_rank, cfg.model_width or None, seed)
     if cfg.domain == "weight":
         return build_model(*args)
+    from .photonic.noise import NoiseModel  # imported here, so a weight-domain run loads no photonic module
+
     noise = NoiseModel(
         bits=cfg.noise_bits or None,
         gamma_std=cfg.noise_gamma_std,
@@ -159,16 +160,17 @@ def evaluate_model(model, problem: PinnProblem):
 
 
 def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: int):
-    """The training loss of one ZO step as a function of theta, with a `pair` method.
+    """The training loss of one ZO step as a function of theta, with a `pairs` method.
 
     The step's batch, Stein plan and evaluation points are built once and
     shared by every query, and each loss value is one `pinn_loss` call.
-    `loss(theta)` runs one plain forward.  `loss.pair(theta, sl, delta)` gives
-    the values at theta[sl] +/- delta from one `model.pair`, and the pairs of
-    a step share one base forward.  They equal two plain queries bit for bit,
-    except on a weight-domain weight segment with at most the output layer
-    above it, whose product is split as (P +/- D) + b: there they agree within
-    ~5e-9 relative (the `nets` module docstring; tests/test_reuse.py).
+    `loss(theta)` runs one plain forward.  `loss.pairs(theta, probes)` gives
+    the values at theta[sl] +/- delta for every probe (sl, delta) of the step
+    from one `model.pairs` pass over the rows, then one `pinn_loss` per
+    output column.  They equal two plain queries bit for bit, except on a
+    weight-domain weight segment with at most the output layer above it,
+    whose product is split as (P +/- D) + b: there they agree within ~5e-9
+    relative (the `nets` module docstring; tests/test_reuse.py).
     """
     inputs = step_inputs(problem, stein, seed, step)
 
@@ -179,11 +181,12 @@ def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: 
         model.set_flat(theta)
         return value(model)
 
-    def pair(theta, sl, delta):
+    def pairs(theta, probes):
         model.set_flat(theta)
-        return tuple(value(lambda X, u=u: u) for u in model.pair(inputs.points, sl, delta))
+        outputs = model.pairs(inputs.points, probes)
+        return [tuple(value(lambda X, u=u: u) for u in pair) for pair in outputs]
 
-    loss.pair = pair
+    loss.pairs = pairs
     return loss
 
 

@@ -10,16 +10,16 @@ grouping every named segment gets its own probes and query pair.  Probe
 streams are keyed by (seed, step, group, query) so results do not depend on
 evaluation order or worker count.
 
-A loss that offers `pair(theta, sl, delta)` is asked for both values of a
-probe at once, L(theta with theta[sl] +/- delta), so it can share work
-between them and across the probes of a step (`training.step_loss` shares one
-base forward, `nets.Mlp.pair`).  A plain callable is queried twice, at two
-probe vectors; both ways count two queries per probe.
+A loss that offers `pairs(theta, probes)` is asked for every value of a
+step at once: per probe (sl, delta), L(theta with theta[sl] +/- delta), so it
+can share work across all of them (`training.step_loss` runs them in one
+block-major pass, `nets.Mlp.pairs`).  A plain callable is queried twice per
+probe, at two probe vectors; both ways count two queries per probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,40 +102,49 @@ def rge_estimate(
 ) -> tuple[np.ndarray, int]:
     """Estimate the gradient of `loss` at theta; returns (estimate, n_loss_queries).
 
-    `loss` maps theta to a float.  When it has `pair`, each probe is one
-    `pair(theta, sl, mu * xi)` call instead of two calls at theta[sl] +/- mu * xi;
-    the estimate then differs from the plain one only as far as the pair's
-    values differ from the two queries (for `training.step_loss`: not at all,
-    or within the tolerance the `nets` module docstring states).
+    `loss` maps theta to a float.  Every probe of the step is drawn first,
+    each from its own key, then evaluated: when `loss` has `pairs`, all of
+    them in one `pairs(theta, probes)` call, where the iterator `probes`
+    yields (sl, mu * xi) once per probe, in group order and probe order
+    within a group; otherwise two calls at theta[sl] +/- mu * xi each.  The
+    estimate then differs from the plain one only as far as the pairs'
+    values differ from the two queries (for `training.step_loss`: not at
+    all, or within the tolerance the `nets` module docstring states).
+    Values are checked and accumulated in group order, so a non-finite one
+    raises for the first group that has one.
     """
-    pair = getattr(loss, "pair", None)
-    grad = np.zeros_like(theta)
-    queries = 0
     mu = cfg.radius
-    for gi, (gname, sl) in enumerate(view.groups(cfg.grouping)):
-        width = sl.stop - sl.start
-        acc = np.zeros(width)
+    groups = view.groups(cfg.grouping)
+    keys = [(gi, qi) for gi in range(len(groups)) for qi in range(cfg.queries)]
+    xis = []
+    for gi, qi in keys:
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, step, gi, qi)))
+        xis.append(_draw(rng, groups[gi][1].stop - groups[gi][1].start, cfg.distribution))
+    probes = ((groups[gi][1], mu * xi) for (gi, _), xi in zip(keys, xis))  # each delta made as it is asked for
+    pairs = getattr(loss, "pairs", None)
+    values = iter(pairs(theta, probes) if pairs is not None else (_two_queries(loss, theta, *p) for p in probes))
+    grad = np.zeros_like(theta)
+    for gi, (gname, sl) in enumerate(groups):
+        acc = np.zeros(sl.stop - sl.start)
         for qi in range(cfg.queries):
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, step, gi, qi)))
-            xi = _draw(rng, width, cfg.distribution)
-            delta = mu * xi
-            if pair is not None:
-                lp, lm = (float(value) for value in pair(theta, sl, delta))
-            else:
-                probe = theta.copy()
-                probe[sl] = theta[sl] + delta
-                lp = float(loss(probe))
-                probe[sl] = theta[sl] - delta
-                lm = float(loss(probe))
-            queries += 2
+            lp, lm = (float(value) for value in next(values))
             if not (np.isfinite(lp) and np.isfinite(lm)):
                 raise DivergenceError(
                     f"non-finite loss at step={step} group={gname!r} "
                     f"perturbation key=({cfg.seed},{step},{gi},{qi}): L+={lp} L-={lm}"
                 )
-            acc += (lp - lm) / (2.0 * mu) * xi
+            acc += (lp - lm) / (2.0 * mu) * xis[gi * cfg.queries + qi]
         grad[sl] = acc / cfg.queries
-    return grad, queries
+    return grad, 2 * len(keys)
+
+
+def _two_queries(loss, theta: np.ndarray, sl: slice, delta: np.ndarray) -> tuple[float, float]:
+    """L(theta with theta[sl] + delta) and L(theta with theta[sl] - delta), as two plain calls."""
+    probe = theta.copy()
+    probe[sl] = theta[sl] + delta
+    lp = loss(probe)
+    probe[sl] = theta[sl] - delta
+    return lp, loss(probe)
 
 
 def zo_sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:

@@ -3,7 +3,7 @@
 Forwards run in blocks of `BLOCK_ROWS` rows.  The oracle below multiplies
 all rows by each layer's whole matrix at once, as the unblocked forward did;
 the blocked forward must equal it bit for bit on either side of every block
-edge, on a plain call and on the probe pairs that share one base forward.
+edge, on a plain call and on the probe pairs of one block-major pass.
 """
 
 import tracemalloc
@@ -20,7 +20,10 @@ from photopinn.tensortrain import TTCores, tt_reconstruct
 from photopinn.training import build_run_model
 
 B = BLOCK_ROWS
-ROWS = [1, B - 1, B, B + 1, 2 * B + 146]
+# Either side of the first block edge, and 2,047-2,049 and 4,242 rows: many
+# blocks, a lone last row joined to the block before it (2,049 = 8 x 256 + 1),
+# and a partial last block.
+ROWS = sorted({1, B - 1, B, B + 1, 2 * B + 146, 2047, 2048, 2049, 4242})
 _ACT = {"tanh": np.tanh, "sine": np.sin}
 
 
@@ -91,28 +94,26 @@ def test_one_off_forward_equals_one_gemm_per_layer(domain, tensorized, rows):
     model = _model(domain, tensorized)
     x = np.random.default_rng(rows).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
     got = model(x)
-    assert model._cache.h is None  # a plain forward keeps nothing
     assert np.array_equal(got, oracle(model, x, domain))
 
 
 @_MODELS
 @pytest.mark.parametrize("rows", ROWS)
 def test_pairs_equal_one_gemm_per_layer(domain, tensorized, rows):
-    """The pairs of one step, in `rge_estimate`'s order, on either side of
-    every block edge: the bias pairs, the phase pairs and the weight pairs
-    below two or more layers equal the oracle at theta +/- delta bit for bit;
-    the weight pairs below at most the output layer take the (P +/- D) + b
-    split and agree within rounding."""
+    """The pairs of one step, in one pass and in `rge_estimate`'s order, on
+    either side of every block edge: the bias pairs, the phase pairs and the
+    weight pairs below two or more layers equal the oracle at theta +/- delta
+    bit for bit; the weight pairs below at most the output layer take the
+    (P +/- D) + b split and agree within rounding."""
     model = _model(domain, tensorized)
     x = np.random.default_rng(rows).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
     theta = model.get_flat()
     last = len(model.layers) - 1
     rng = np.random.default_rng(5)
-    for name, start, stop in model.segments():
-        sl = slice(start, stop)
-        delta = 0.01 * rng.standard_normal(stop - start)
-        model.set_flat(theta)
-        got = model.pair(x, sl, delta)
+    segments = model.segments()
+    probes = [(slice(start, stop), 0.01 * rng.standard_normal(stop - start)) for _, start, stop in segments]
+    model.set_flat(theta)
+    for (name, _, _), (sl, delta), got in zip(segments, probes, model.pairs(x, probes), strict=True):
         k = int(name[len("layer") : name.index(".")])
         split = domain == "weight" and not name.endswith(".bias") and k >= last - 1
         for value, op in zip(got, (np.add, np.subtract)):
@@ -130,8 +131,9 @@ def test_pairs_equal_one_gemm_per_layer(domain, tensorized, rows):
 @pytest.mark.parametrize("tensorized", [True, False], ids=["tt", "dense"])
 def test_one_off_holdout_forward_peaks_below_a_few_blocks(tensorized):
     """A Black-Scholes hold-out forward (20,301 rows x width 128) holds no
-    full-size hidden activation: its peak is bounded by BLOCK_ROWS, not by
-    the row count."""
+    full-size hidden activation: its peak is two block buffers, the output
+    column and the realized layers (at most four 128 x 128 matrices with
+    their parameter copies), bounded by BLOCK_ROWS, not by the row count."""
     model = build_model("black-scholes", tensorized=tensorized, seed=0)
     pts = get_problem("black-scholes").holdout_points()
     assert len(pts) == 20_301
@@ -143,16 +145,16 @@ def test_one_off_holdout_forward_peaks_below_a_few_blocks(tensorized):
     finally:
         tracemalloc.stop()
     full_activation = len(pts) * width * 8
-    assert peak < 3 * B * width * 8 < full_activation
+    assert peak < 2 * (B + 1) * width * 8 + len(pts) * 8 + 4 * width * width * 8 < full_activation
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])
 def test_global_probes_keep_no_full_size_hidden_activation(domain):
-    """A pair over every segment, as under global grouping, is two plain
-    forwards: it peaks below one full-size hidden activation, keeps nothing,
-    and each of its values equals a fresh model's."""
+    """A pair over every segment, as under global grouping, runs every layer
+    at theta +/- delta: it peaks below one full-size hidden activation, and
+    each of its values equals a fresh model's."""
     model = _model(domain, True)
-    rows = 3 * B + 146
+    rows = 24 * B + 146  # many blocks and a partial one
     x = np.random.default_rng(0).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
     rng = np.random.default_rng(1)
     theta = model.get_flat()
@@ -164,16 +166,29 @@ def test_global_probes_keep_no_full_size_hidden_activation(domain):
         model.set_flat(theta)
         tracemalloc.start()
         try:
-            got = model.pair(x, slice(0, len(theta)), delta)
+            got = model.pairs(x, [(slice(0, len(theta)), delta)])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < full_activation
-        assert model._cache.h is None
         for value, op in zip(got, (np.add, np.subtract)):
             fresh = _model(domain, True)
             fresh.set_flat(op(theta, delta))
             assert np.array_equal(value, fresh(x))
+
+
+def _count_applies(model, monkeypatch) -> dict:
+    """Per layer of `model` (by id), how many times its `apply` runs from now on."""
+    counts = {id(layer): 0 for layer in model.layers}
+    for cls in {type(layer) for layer in model.layers}:
+        apply = cls.apply
+
+        def counted(self, *args, apply=apply):
+            counts[id(self)] += 1
+            apply(self, *args)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -188,7 +203,7 @@ def test_global_probes_keep_no_full_size_hidden_activation(domain):
 )
 def test_a_step_applies_the_layers_below_each_probe_once(domain, tensorized, applies, monkeypatch):
     """Black-Scholes layer applies per row block over one step's pairs, in
-    `rge_estimate`'s order.  A layer is applied once for its base product,
+    one pass.  A layer is applied once for its base product,
     once per direction (a weight-domain weight below at most the output
     layer), twice per pair that realizes both states of it, and twice per
     pair on a layer below it; never for a pair on a layer above it.  Layer 1
@@ -197,17 +212,24 @@ def test_a_step_applies_the_layers_below_each_probe_once(domain, tensorized, app
     """
     cfg = RunConfig(problem_name="black-scholes", domain=domain, model_tensorized=tensorized)
     model = build_run_model(cfg, 0)
-    counts = {id(layer): 0 for layer in model.layers}
-    for cls in {type(layer) for layer in model.layers}:
-        apply = cls.apply
-
-        def counted(self, *args, apply=apply):
-            counts[id(self)] += 1
-            apply(self, *args)
-
-        monkeypatch.setattr(cls, "apply", counted)
+    counts = _count_applies(model, monkeypatch)
     x = np.random.default_rng(0).uniform([0.0, 0.0], [200.0, 1.0], size=(2 * B + 146, 2))
     rng = np.random.default_rng(1)
-    for _, start, stop in model.segments():
-        model.pair(x, slice(start, stop), 0.01 * rng.standard_normal(stop - start))
+    model.pairs(x, [(slice(start, stop), 0.01 * rng.standard_normal(stop - start)) for _, start, stop in model.segments()])
     assert [counts[id(layer)] for layer in model.layers] == [3 * n for n in applies]  # three row blocks
+
+
+@pytest.mark.parametrize("domain", ["weight", "phase"])
+def test_global_probes_run_no_base_forward(domain, monkeypatch):
+    """A pass whose probes are all global applies each layer twice per probe
+    and row block, at theta + delta and theta - delta, and never realizes or
+    applies a layer at theta."""
+    cfg = RunConfig(problem_name="black-scholes", domain=domain)
+    model = build_run_model(cfg, 0)
+    counts = _count_applies(model, monkeypatch)
+    monkeypatch.setattr(type(model), "_realization", lambda self, k: pytest.fail("realized at theta"))
+    x = np.random.default_rng(0).uniform([0.0, 0.0], [200.0, 1.0], size=(2 * B + 146, 2))
+    rng = np.random.default_rng(1)
+    n = model.n_params
+    model.pairs(x, [(slice(0, n), 0.01 * rng.standard_normal(n)) for _ in range(2)])
+    assert [counts[id(layer)] for layer in model.layers] == [2 * 2 * 3] * len(model.layers)

@@ -1,9 +1,9 @@
 """Work reused across ZO probes against a cache-free oracle.
 
 A network reuses the realization of a layer whose parameters did not
-change, and the pairs of one ZO step share one base forward, in both
-domains.  The oracle builds a fresh model for every loss query, so nothing
-carries over between queries.  Every plain query through the training loss
+change, and the pairs of one ZO step run in one block-major pass over the
+rows, in both domains.  The oracle builds a fresh model for every loss
+query, so nothing carries over between queries.  Every plain query through the training loss
 must equal it bit for bit, and so must every pair value except those of a
 weight-domain weight segment below at most the output layer, which agree
 within a stated bound.
@@ -17,7 +17,7 @@ import pytest
 from photopinn.config import RunConfig
 from photopinn.models import build_model
 from photopinn.nets import DenseLayer, Mlp, TTLayer
-from photopinn.pde import pinn_loss
+from photopinn.pde import pinn_loss, step_inputs
 from photopinn.photonic import PhotonicDense, PhotonicTT, apply_nonidealities, block_phase_count, stage_neighbors
 from photopinn.training import build_run_model, config_problem, config_stein, evaluate_model, step_loss
 from photopinn.tensortrain import TTLayout
@@ -93,10 +93,10 @@ PAIR_GRAD_RTOL = 3e-6
 @pytest.mark.parametrize("grouping", ["per-tensor", "global"])
 @pytest.mark.parametrize("problem,domain,tensorized", _CASES)
 def test_pair_path_equals_a_fresh_model_per_query(problem, domain, tensorized, grouping):
-    """`rge_estimate` takes the training loss's `pair`: every L+/- and every
+    """`rge_estimate` takes the training loss's `pairs`: every L+/- and every
     entry of g_hat equals the fresh-model oracle bit for bit, except for the
     split weight segments, which agree within the bounds above.  Two probes
-    per group, so probes share a base forward within a layer."""
+    per group, so a layer's base input and product serve several probes."""
     cfg = _tiny_config(problem, domain, tensorized)
     problem_ = config_problem(cfg)
     stein = config_stein(cfg, problem_, SEED)
@@ -129,13 +129,14 @@ def test_pair_path_equals_a_fresh_model_per_query(problem, domain, tensorized, g
             return want_values[-1]
 
         def paired(th):
-            raise AssertionError("a loss with pair is asked for pairs only")
+            raise AssertionError("a loss with pairs is asked for pairs only")
 
-        def pair(th, sl, delta):
-            got_values.extend(loss.pair(th, sl, delta))
-            return got_values[-2:]
+        def pairs(th, probes):
+            values = loss.pairs(th, probes)
+            got_values.extend(value for pair in values for value in pair)
+            return values
 
-        paired.pair = pair
+        paired.pairs = pairs
         want, _ = rge_estimate(fresh, theta, view, zo, step)
         got, _ = rge_estimate(paired, theta, view, zo, step)
         per_group = 2 * zo.queries
@@ -164,12 +165,12 @@ def test_a_split_pair_is_exact_on_integers():
     model = Mlp(layers, params)
     theta = rng.integers(-1, 2, model.n_params).astype(float)
     x = rng.integers(-1, 2, (40, layout.cols)).astype(float)
-    for name, start, stop in model.segments():
-        if name == "layer1.weight":
-            continue  # its pair splits the product of tanh outputs, which rounds
-        delta = rng.integers(-2, 3, stop - start).astype(float)
-        model.set_flat(theta)
-        got = model.pair(x, slice(start, stop), delta)
+    # layer1.weight is left out: its pair splits the product of tanh outputs, which rounds
+    segments = [(name, slice(start, stop)) for name, start, stop in model.segments() if name != "layer1.weight"]
+    probes = [(sl, rng.integers(-2, 3, sl.stop - sl.start).astype(float)) for _, sl in segments]
+    model.set_flat(theta)
+    for (name, _), (sl, delta), got in zip(segments, probes, model.pairs(x, probes), strict=True):
+        start, stop = sl.start, sl.stop
         for value, op in zip(got, (np.add, np.subtract)):
             moved = theta.copy()
             moved[start:stop] = op(theta[start:stop], delta)
@@ -178,47 +179,72 @@ def test_a_split_pair_is_exact_on_integers():
             assert np.array_equal(value, plain(x)), name
 
 
-def test_a_warm_step_holds_two_full_size_arrays_beside_the_block_buffers():
-    """A per-tensor Black-Scholes TT step keeps the probed layer's base input
-    and product, two (rows x 128) arrays, and allocates no other full-size
-    array once warm: the next step's pairs reuse them."""
-    cfg = RunConfig(problem_name="black-scholes", model_tensorized=True)
+# Per row, what a warm step may allocate beside its query outputs: the step's
+# sample and evaluation points, and one loss query's values and Stein combine
+# temporaries (measured: ~18 bytes per row on Black-Scholes).  A (rows x 128)
+# hidden activation is 1,024 bytes per row.
+STEP_SLACK_PER_ROW = 16 * 8
+
+
+def _warm_step_peak(scale: int) -> tuple[int, int, int]:
+    """(rows, probes, tracemalloc peak) of the second per-tensor step of a
+    Black-Scholes TT model with its point counts (100 residual, 10 initial,
+    10 per boundary side) times `scale`.  Tracing starts before the model is
+    built, so the peak counts what the first step left behind too."""
+    cfg = RunConfig(
+        problem_name="black-scholes",
+        model_tensorized=True,
+        problem_residual_points=100 * scale,
+        problem_initial_points=10 * scale,
+        problem_boundary_points=10 * scale,
+    )
     problem = config_problem(cfg)
     stein = config_stein(cfg, problem, SEED)
-    model = build_run_model(cfg, SEED)
-    theta = model.get_flat()
-    view = ParamView.from_segments(model.segments())
-    zo = ZoConfig(seed=SEED)
-    rge_estimate(step_loss(model, problem, stein, SEED, 0), theta, view, zo, 0)
-    rows = len(model._cache.rows)
-    full_size = rows * 128 * 8
-    assert sum(buffer.nbytes for buffer in model._cache._full) == 2 * full_size
     tracemalloc.start()
     try:
+        model = build_run_model(cfg, SEED)
+        theta = model.get_flat()
+        view = ParamView.from_segments(model.segments())
+        zo = ZoConfig(seed=SEED)
+        rge_estimate(step_loss(model, problem, stein, SEED, 0), theta, view, zo, 0)
+        tracemalloc.reset_peak()
         rge_estimate(step_loss(model, problem, stein, SEED, 1), theta, view, zo, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model._cache.rows) == rows
-    assert peak < full_size
+    rows = len(step_inputs(problem, stein, SEED, 1).points)
+    return rows, len(view.groups(zo.grouping)) * zo.queries, peak
+
+
+def test_a_warm_step_grows_with_rows_by_its_query_outputs_only():
+    """No array a step holds or allocates grows with rows x width: at four
+    times the rows, a warm per-tensor step's peak grows by its query outputs
+    (2 x probes x rows floats) and a few row-length vectors, not by a
+    (rows x 128) hidden activation."""
+    _warm_step_peak(1)  # the first traced step of a process also counts one-time allocations (~0.6 MB)
+    rows1, probes, peak1 = _warm_step_peak(1)
+    rows4, _, peak4 = _warm_step_peak(4)
+    assert rows4 == 4 * rows1
+    grown = rows4 - rows1
+    assert peak4 - peak1 <= (2 * probes * 8 + STEP_SLACK_PER_ROW) * grown < 2 * 128 * 8 * grown
 
 
 def test_writing_into_the_flat_vector_reaches_the_next_forward(rng):
     """An in-place write into a vector passed to `set_flat` again, as a
-    caller may do with its probe, is seen: the pairs' base forward restarts
-    on the same rows after a write into layer 0, and a write into a core of
-    the TT layer 1 rebuilds its realized matrix."""
+    caller may do with its probe, is seen: the pairs on the same rows follow
+    a write into layer 0, and a write into a core of the TT layer 1 rebuilds
+    its realized matrix."""
     model = build_model("black-scholes", tensorized=True, seed=0)
     theta = model.get_flat()
     x = rng.uniform([0.0, 0.0], [200.0, 1.0], size=(40, 2))
     spans = {name: slice(start, stop) for name, start, stop in model.segments()}
     probe, delta = spans["layer2.bias"], np.array([0.01])
     model.set_flat(theta)
-    before = model.pair(x, probe, delta)
+    before = model.pairs(x, [(probe, delta)])[0]
     for segment in ("layer0.weight", "layer1.core0"):
         theta[spans[segment]] += 0.1
         model.set_flat(theta)
-        after = model.pair(x, probe, delta)
+        after = model.pairs(x, [(probe, delta)])[0]
         for value, op in zip(after, (np.add, np.subtract)):
             moved = theta.copy()
             moved[probe] = op(theta[probe], delta)
@@ -302,18 +328,26 @@ def test_a_layer_is_realized_once_per_state_a_step_needs(domain, tensorized, mon
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])
 def test_holdout_forward_keeps_no_activation(domain):
-    """The pairs keep the probed layer's base input; a plain forward, such as
-    the hold-out evaluation, drops it and its buffers."""
+    """Neither a step's pairs nor a hold-out forward leave an array behind:
+    once the block buffers and realizations exist, the model holds after
+    both what it held before."""
     cfg = _tiny_config("black-scholes", domain, True)
     problem = config_problem(cfg)
     stein = config_stein(cfg, problem, SEED)
     model = build_run_model(cfg, SEED)
     loss = step_loss(model, problem, stein, SEED, 0)
-    start, stop = next((a, b) for name, a, b in model.segments() if name == "layer1.bias")
-    loss.pair(model.get_flat(), slice(start, stop), np.full(stop - start, 0.01))
-    assert model._cache.layer == 1 and model._cache.product is not None
+    theta = model.get_flat()
+    probes = [(slice(start, stop), np.full(stop - start, 0.01)) for _, start, stop in model.segments()]
+    loss.pairs(theta, probes)
     evaluate_model(model, problem)
-    assert model._cache.h is None and model._cache._full == [None, None]
+    tracemalloc.start()
+    try:
+        loss.pairs(theta, probes)
+        evaluate_model(model, problem)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 1024  # a hold-out output column alone is 20,301 x 8 bytes
 
 
 def test_layer_noise_equals_the_whole_model_pipeline():

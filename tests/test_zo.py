@@ -102,35 +102,107 @@ def test_query_accounting():
     assert len(calls) == q
 
 
+def _pairs_loss(f, asked=None):
+    """A loss that answers only `pairs`, each value as f at theta[sl] +/- delta;
+    it records each probe's (theta, slice) in `asked`."""
+
+    def loss(th):
+        raise AssertionError("a loss with pairs is asked for pairs only")
+
+    def pairs(th, probes):
+        values = []
+        for sl, delta in probes:
+            if asked is not None:
+                asked.append((th, sl))
+            plus, minus = th.copy(), th.copy()
+            plus[sl] = th[sl] + delta
+            minus[sl] = th[sl] - delta
+            values.append((f(plus), f(minus)))
+        return values
+
+    loss.pairs = pairs
+    return loss
+
+
 @pytest.mark.parametrize("grouping", ["per-tensor", "global"])
 def test_a_loss_with_pair_is_asked_for_both_values_at_once(grouping):
-    """`pair(theta, sl, delta)` replaces the two queries of each probe: it
-    sees the base theta, the group's slice and mu x xi, and, answering with
-    the values at theta[sl] +/- delta, gives the plain estimate bit for bit
-    and the same query count."""
+    """`pairs(theta, probes)` replaces the two queries of every probe of the
+    step in one call: it sees the base theta and each group's slice with
+    mu x xi, in group order, and, answering with the values at
+    theta[sl] +/- delta, gives the plain estimate bit for bit and the same
+    query count."""
     view = make_view(2, 3, 4)
     cfg = ZoConfig(queries=2, radius=0.05, grouping=grouping, seed=4)
     theta = np.linspace(-1.0, 1.0, 9)
     f = lambda th: float(np.sum(np.sin(3.0 * th) * th))
     asked = []
-
-    def loss(th):
-        raise AssertionError("a loss with pair is asked for pairs only")
-
-    def pair(th, sl, delta):
-        asked.append(sl)
-        assert np.array_equal(th, theta)
-        plus, minus = th.copy(), th.copy()
-        plus[sl] = th[sl] + delta
-        minus[sl] = th[sl] - delta
-        return f(plus), f(minus)
-
-    loss.pair = pair
-    got, q = rge_estimate(loss, theta, view, cfg, step=3)
+    got, q = rge_estimate(_pairs_loss(f, asked), theta, view, cfg, step=3)
     want, q_plain = rge_estimate(f, theta, view, cfg, step=3)
     assert np.array_equal(got, want)
     assert q == q_plain == 2 * len(asked)
-    assert asked == [sl for _, sl in view.groups(grouping) for _ in range(cfg.queries)]
+    assert all(np.array_equal(th, theta) for th, _ in asked)
+    assert [sl for _, sl in asked] == [sl for _, sl in view.groups(grouping) for _ in range(cfg.queries)]
+
+
+def _tiny_black_scholes_oracle():
+    """(theta, view, a loss that builds a fresh model per query) on a small
+    Black-Scholes TT model, so nothing carries over between queries."""
+    from photopinn.config import RunConfig
+    from photopinn.pde import pinn_loss
+    from photopinn.training import build_run_model, config_problem, config_stein
+
+    cfg = RunConfig(
+        problem_name="black-scholes",
+        problem_residual_points=6,
+        problem_initial_points=2,
+        problem_boundary_points=2,
+    )
+    problem = config_problem(cfg)
+    stein = config_stein(cfg, problem, 0)
+    model = build_run_model(cfg, 0)
+
+    def fresh(th):
+        net = build_run_model(cfg, 0)
+        net.set_flat(th)
+        return pinn_loss(problem.transform(net), problem, stein, 0, 7)[0]
+
+    return model.get_flat(), ParamView.from_segments(model.segments()), fresh
+
+
+@pytest.mark.parametrize("grouping", ["per-tensor", "global"])
+@pytest.mark.parametrize("queries", [1, 2])
+def test_batched_estimate_equals_per_probe_calls_on_a_fresh_model_oracle(queries, grouping):
+    """All of a step's probes drawn first and asked of `pairs` in one call
+    give the same (grad, queries) bytes as the per-probe plain calls, both
+    answered by the fresh-model oracle."""
+    theta, view, fresh = _tiny_black_scholes_oracle()
+    cfg = ZoConfig(queries=queries, grouping=grouping, seed=2)
+
+    got, q = rge_estimate(_pairs_loss(fresh), theta, view, cfg, step=7)
+    want, q_plain = rge_estimate(fresh, theta, view, cfg, step=7)
+    assert q == q_plain == 2 * queries * len(view.groups(grouping))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_nonfinite_pair_value_names_its_group_and_key():
+    """A non-finite value in the third group's second probe raises for that
+    group and its key, though `pairs` answered every probe at once."""
+    view = make_view(2, 3, 4, 5)
+    cfg = ZoConfig(queries=2, grouping="per-tensor", seed=6)
+
+    def loss(th):
+        raise AssertionError("a loss with pairs is asked for pairs only")
+
+    def pairs(th, probes):
+        values = [(1.0, 2.0) for _ in probes]
+        values[2 * 2 + 1] = (1.0, float("inf"))
+        return values
+
+    loss.pairs = pairs
+    with pytest.raises(DivergenceError) as err:
+        rge_estimate(loss, np.zeros(view.dim), view, cfg, step=11)
+    msg = str(err.value)
+    assert "group='t2'" in msg and "key=(6,11,2,1)" in msg and "L-=inf" in msg
 
 
 def test_nonfinite_loss_aborts_with_key():
