@@ -50,7 +50,10 @@ z- depend on what the probe moves:
   theta +/- delta, from layer 0; byte-identical.  A pass whose probes are
   all of this kind runs no base forward.
 
-Its outputs are 2 x probes x rows x outputs floats.
+Its outputs are 2 x probes x rows x outputs floats.  `training.step_loss`
+scores them as one query per output column, in chunks of queries whose
+Stein combine fits in the pass's block buffers (`pass_bytes`), one
+`pde.score` call per chunk.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ _ACTIVATIONS = {
 }
 
 _SIGNS = (np.add, np.subtract)  # the + and - probe states
+
+_PAIR_BUFFERS = 4  # block buffers of a `pairs` pass: base input and product, two probe outputs
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -227,6 +232,11 @@ class Mlp:
         finally:
             self._blocks = None
 
+    @property
+    def pass_bytes(self) -> int:
+        """Bytes of the block buffers of a `pairs` pass."""
+        return _PAIR_BUFFERS * (self._block_rows + 1) * max(self._widths) * 8
+
     def _block(self, slot: int, rows: int, width: int) -> np.ndarray:
         """A contiguous (rows, width) view into block buffer `slot` of the running pass."""
         return self._blocks[slot, : rows * width].reshape(rows, width)
@@ -288,7 +298,7 @@ class Mlp:
         realized = [self._realization(j) for j in range(len(self.layers))] if top >= 0 else None
         biases = [self._bias(j) for j in range(len(self.layers))]
         out = np.empty((len(plans), 2, len(x), self._widths[-1]))
-        with self._pass_buffers(4):
+        with self._pass_buffers(_PAIR_BUFFERS):
             for rows in _row_blocks(len(x), self._block_rows):
                 h = self._embed(x, rows)
                 for i, p in whole:

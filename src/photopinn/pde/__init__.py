@@ -8,6 +8,7 @@ from .problems import (
     pinn_loss,
     relative_l2,
     sample_batch,
+    score,
     step_inputs,
 )
 from .black_scholes import bs_exact

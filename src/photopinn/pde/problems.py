@@ -54,6 +54,7 @@ __all__ = [
     "sample_batch",
     "step_inputs",
     "pinn_loss",
+    "score",
     "relative_l2",
     "holdout_reference",
     "PROBLEM_NAMES",
@@ -81,7 +82,7 @@ class PinnProblem:
     name: str
     lo: np.ndarray
     hi: np.ndarray
-    residual: Callable  # (bundle dict, X) -> residual values (B,)
+    residual: Callable  # (bundle dict, X) -> residual values (..., P) for P centers X, any leading query axes
     residual_points: int
     holdout_points: Callable  # () -> the fixed evaluation set of the relative-l2 metric
     data: tuple[DataTerm, ...] = ()
@@ -118,25 +119,25 @@ def relative_l2(pred: np.ndarray, ref: np.ndarray) -> float:
 def _bs_residual(bundle, X):
     x = X[:, 0]
     u, du, d2 = bundle["value"], bundle["first"], bundle["second"]
-    return du[:, 1] + 0.5 * bs.VOL**2 * x**2 * d2[:, 0] + bs.RATE * x * du[:, 0] - bs.RATE * u
+    return du[..., 1] + 0.5 * bs.VOL**2 * x**2 * d2[..., 0] + bs.RATE * x * du[..., 0] - bs.RATE * u
 
 
 def _hjb_residual(bundle, X):
     du, d2 = bundle["first"], bundle["second"]
-    grad_sq = np.sum(du[:, : hjb.SPATIAL_DIM] ** 2, axis=1)
-    lap = np.sum(d2[:, : hjb.SPATIAL_DIM], axis=1)
-    return du[:, -1] + lap - hjb.GRAD_PENALTY * grad_sq - hjb.RHS
+    grad_sq = np.sum(du[..., : hjb.SPATIAL_DIM] ** 2, axis=-1)
+    lap = np.sum(d2[..., : hjb.SPATIAL_DIM], axis=-1)
+    return du[..., -1] + lap - hjb.GRAD_PENALTY * grad_sq - hjb.RHS
 
 
 def _burgers_residual(bundle, X):
     u, du, d2 = bundle["value"], bundle["first"], bundle["second"]
-    return du[:, 1] + u * du[:, 0] - bg.NU * d2[:, 0]
+    return du[..., 1] + u * du[..., 0] - bg.NU * d2[..., 0]
 
 
 def _make_darcy_residual(k_field: Raster):
     def resid(bundle, X):
         k = k_field.lookup_cell(X)
-        lap = bundle["second"][:, 0] + bundle["second"][:, 1]
+        lap = bundle["second"][..., 0] + bundle["second"][..., 1]
         return k * lap - dc.FORCING
 
     return resid
@@ -339,25 +340,36 @@ def pinn_loss(
     step: int = 0,
     inputs: StepInputs | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Weighted smoothed-residual loss with per-term breakdown.
+    """Weighted smoothed-residual loss with per-term breakdown: one query of `score`.
 
-    `solution` is the (transformed) solution network mapping (B, input_dim)
-    to (B,) values; all derivatives go through the smoothing estimators.
+    `solution` is the (transformed) solution network mapping (rows,
+    input_dim) to (rows,) values; all derivatives go through the smoothing estimators.
     `inputs` are the step's inputs from `step_inputs`, built here when not
     given; every query of a ZO step shares them.
     """
     if inputs is None:
         inputs = step_inputs(problem, stein_cfg, batch_seed, step)
-    values = np.asarray(solution(inputs.points), dtype=float).reshape(-1)  # the (P*n,) layout combine() expects
+    values = np.asarray(solution(inputs.points), dtype=float).reshape(1, -1)
+    total, terms = score(problem, inputs, values)
+    return float(total[0]), {name: float(value[0]) for name, value in terms.items()}
 
+
+def score(problem: PinnProblem, inputs: StepInputs, values: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The loss of B queries from their (B, rows) solution values at `inputs.points`.
+
+    Returns each query's total and its terms, arrays of shape (B,).  One
+    `SteinPlan.combine` call serves every term and query, and a query's
+    values equal a call on its row alone bit for bit (`combine`), so the
+    B = 1 case is `pinn_loss`.
+    """
     parts = [(slice(0, len(inputs.residual)), ("value", "first", "second"))]
     parts += [(rows, ("value",)) for _, rows, _ in inputs.data]
     bundle, *data = inputs.plan.combine(values, parts)
     r = problem.residual(bundle, inputs.residual)
-    terms = {"residual": float(np.mean(r**2))}
+    terms = {"residual": np.mean(r**2, axis=-1)}
     total = terms["residual"]
     for (term, _, target), u in zip(inputs.data, data):
-        terms[term.name] = float(np.mean((u["value"] - target) ** 2))
-        total += term.weight * terms[term.name]
+        terms[term.name] = np.mean((u["value"] - target) ** 2, axis=-1)
+        total = total + term.weight * terms[term.name]
     terms["total"] = total
     return total, terms

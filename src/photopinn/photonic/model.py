@@ -148,7 +148,8 @@ class PhotonicMlp(Mlp):
         ends = np.cumsum([0] + [sl.stop - sl.start for sl in self._param_slices])
         self.n_phases = int(ends[-1])
         frozen = self.noise.freeze(self.n_phases)
-        self._frozen = [FrozenNoise(frozen.gain[a:b], frozen.bias[a:b]) for a, b in zip(ends, ends[1:])]
+        self._frozen = [FrozenNoise(frozen.gain[a:b], frozen.bias[a:b] if self.noise.phase_bias else None)
+                        for a, b in zip(ends, ends[1:])]
         self._pairs = [_layer_pairs(layer) for layer in layers]
 
     def phase_vector(self) -> np.ndarray:

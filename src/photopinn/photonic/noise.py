@@ -7,7 +7,8 @@ Effective phases are produced from programmed ones in this order:
 
 Gain deviations and biases are drawn once per device from the model seed and
 stay frozen for a whole run; only the quantized input changes between loss
-queries.
+queries.  The biases are drawn after the gains, and only when
+`phase_bias` is on, so the gains do not depend on it.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ class NoiseModel:
     def freeze(self, n_phases: int) -> "FrozenNoise":
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, n_phases)))
         dgamma = rng.normal(0.0, self.gamma_std, size=n_phases)
-        bias = rng.uniform(0.0, TWO_PI, size=n_phases) if self.phase_bias else np.zeros(n_phases)
+        bias = rng.uniform(0.0, TWO_PI, size=n_phases) if self.phase_bias else None
         return FrozenNoise(gain=1.0 + dgamma, bias=bias)
 
 
 @dataclass(frozen=True)
 class FrozenNoise:
     gain: np.ndarray
-    bias: np.ndarray
+    bias: np.ndarray | None  # None when the model adds no phase bias
 
 
 def quantize_phases(phases: np.ndarray, bits: int | None) -> np.ndarray:

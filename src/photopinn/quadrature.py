@@ -314,33 +314,47 @@ class SteinPlan:
     def combine(self, values: np.ndarray, parts: Sequence[tuple[slice, Sequence[str]]]) -> list[dict[str, np.ndarray]]:
         """Combine model outputs at eval_points into the requested estimators.
 
-        ``values`` has shape (P*n_queries, ...) matching eval_points.
-        ``parts`` is a sequence of (rows, which): a slice of the P centers
-        and the estimators wanted on them ('value', 'first', 'second').  The
-        full-layout scatter and its pair gather are built once for all
-        parts; each part's sums run on its rows alone, so a part's result
-        equals a call on its rows' values alone, bit for bit.  Returns one
-        dict per part, arrays with a leading axis over its rows ('first' and
-        'second' add a dim axis).
+        ``values`` has shape (..., P*n_queries): the outputs at eval_points
+        of any number of queries along leading axes, such as the (B, rows)
+        outputs of B loss queries.  ``parts`` is a sequence of (rows, which):
+        a slice of the P centers and the estimators wanted on them ('value',
+        'first', 'second').  The full-layout scatter and its pair gather are
+        built once for all parts and queries.  Returns one dict per part,
+        arrays of shape (..., rows) ('first' and 'second' add a dim axis).
+
+        A query's result on a part equals a call on that query's values of
+        that part's rows alone, bit for bit: the value sum is one BLAS
+        matrix-vector product per query and part (a stacked matmul), as a
+        product over all queries' rows at once would round differently.
+        The chunk rule: a call holds four full-layout (..., P, n) float
+        arrays at once (the scatter, its pair gather, their sum and one
+        estimator's operand), so a caller that bounds its memory by `budget`
+        bytes passes at most `queries_per_call(rows, budget)` queries.
         """
         vals = np.asarray(values, dtype=float)
-        extra = vals.shape[1:]
-        queried = vals.reshape(-1, self.n_queries, *extra)
-        v_all = np.zeros((len(queried), len(self.weights), *extra))
-        v_all[:, self.queried] = queried
-        v_neg_all = v_all[:, self.pair]
+        lead = vals.shape[:-1]
+        queried = vals.reshape(*lead, -1, self.n_queries)
+        v_all = np.zeros((*queried.shape[:-1], len(self.weights)))
+        v_all[..., self.queried] = queried
+        v_neg_all = v_all[..., self.pair]
         out = []
         for rows, which in parts:
-            v, v_neg = v_all[rows], v_neg_all[rows]
+            v, v_neg = v_all[..., rows, :], v_neg_all[..., rows, :]
             both = v + v_neg
             got: dict[str, np.ndarray] = {}
             if "value" in which:
-                got["value"] = 0.5 * np.tensordot(both, self.weights, axes=(1, 0))
+                got["value"] = 0.5 * (both @ self.weights)
             if "first" in which:
-                # (P, n, ...) x (n, D) -> (P, D, ...)
-                got["first"] = np.einsum("pn...,nd->pd...", v - v_neg, self.c_first)
+                # (..., P, n) x (n, D) -> (..., P, D)
+                got["first"] = np.einsum("...pn,nd->...pd", v - v_neg, self.c_first)
             if "second" in which:
-                centered = both - 2.0 * v[:, self.center : self.center + 1]
-                got["second"] = np.einsum("pn...,nd->pd...", centered, self.c_second)
+                centered = both - 2.0 * v[..., self.center : self.center + 1]
+                got["second"] = np.einsum("...pn,nd->...pd", centered, self.c_second)
             out.append(got)
         return out
+
+    def queries_per_call(self, rows: int, budget: int) -> int:
+        """Queries per `combine` call, at least one, whose full-layout arrays
+        fit in `budget` bytes when each query has `rows` values."""
+        per_query = 4 * 8 * (rows // self.n_queries) * len(self.weights)  # four float arrays (`combine`)
+        return max(1, budget // per_query)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .models import Architecture, architecture, build_model, build_phase_model
-from .pde import get_problem, holdout_reference, pinn_loss, relative_l2, step_inputs
+from .pde import get_problem, holdout_reference, pinn_loss, relative_l2, score, step_inputs
 from .pde.problems import PinnProblem
 from .quadrature import SteinConfig
 from .zo import AdamState, DivergenceError, ParamView, ZoConfig, rge_estimate, zo_adam_step, zo_sgd_step
@@ -163,28 +163,34 @@ def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: 
     """The training loss of one ZO step as a function of theta, with a `pairs` method.
 
     The step's batch, Stein plan and evaluation points are built once and
-    shared by every query, and each loss value is one `pinn_loss` call.
-    `loss(theta)` runs one plain forward.  `loss.pairs(theta, probes)` gives
-    the values at theta[sl] +/- delta for every probe (sl, delta) of the step
-    from one `model.pairs` pass over the rows, then one `pinn_loss` per
-    output column.  They equal two plain queries bit for bit, except on a
-    weight-domain weight segment with at most the output layer above it,
-    whose product is split as (P +/- D) + b: there they agree within ~5e-9
-    relative (the `nets` module docstring; tests/test_reuse.py).
+    shared by every query.  `loss(theta)` runs one plain forward and one
+    `pinn_loss`.  `loss.pairs(theta, probes)` gives the values at
+    theta[sl] +/- delta for every probe (sl, delta) of the step, as a
+    (probes, 2) array: one `model.pairs` pass over the rows, then its
+    outputs scored by `pde.score` in chunks of queries whose Stein combine
+    fits in the pass's block buffers (`model.pass_bytes`), so scoring holds
+    about what the pass held, or one query's combine if that is more.  They
+    equal two plain queries bit for bit, except on a weight-domain weight
+    segment with at most the output layer above it, whose product is split
+    as (P +/- D) + b: there they agree within ~5e-9 relative (the `nets`
+    module docstring; tests/test_reuse.py).
     """
     inputs = step_inputs(problem, stein, seed, step)
 
-    def value(solution) -> float:
-        return pinn_loss(problem.transform(solution), problem, stein, seed, step, inputs)[0]
-
     def loss(theta):
         model.set_flat(theta)
-        return value(model)
+        return pinn_loss(problem.transform(model), problem, stein, seed, step, inputs)[0]
 
     def pairs(theta, probes):
         model.set_flat(theta)
         outputs = model.pairs(inputs.points, probes)
-        return [tuple(value(lambda X, u=u: u) for u in pair) for pair in outputs]
+        queries = outputs.reshape(-1, outputs.shape[-1])
+        size = inputs.plan.queries_per_call(queries.shape[-1], model.pass_bytes)
+        totals = [
+            score(problem, inputs, problem.transform(lambda X, u=queries[i : i + size]: u)(inputs.points))[0]
+            for i in range(0, len(queries), size)
+        ]
+        return np.concatenate(totals).reshape(outputs.shape[:2])
 
     loss.pairs = pairs
     return loss

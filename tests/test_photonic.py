@@ -195,6 +195,23 @@ def test_noise_changes_effective_phases_only(rng):
     assert np.array_equal(model.get_flat(), theta)
 
 
+def test_a_model_without_phase_bias_holds_no_bias():
+    """With `noise.phase_bias` off (the default) a model holds no frozen bias.
+    The gains are drawn first from the seed's stream, so a biased model has
+    the same gains, and its effective phases are the unbiased ones plus its
+    bias, bit for bit."""
+    plain, biased = (
+        _small_model(np.random.default_rng(7), NoiseModel(bits=6, crosstalk=0.01, phase_bias=on, seed=4))
+        for on in (False, True)
+    )
+    assert all(frozen.bias is None for frozen in plain._frozen)
+    assert all(frozen.bias is not None for frozen in biased._frozen)
+    for a, b in zip(plain._frozen, biased._frozen):
+        assert np.array_equal(a.gain, b.gain)
+    bias = np.concatenate([frozen.bias for frozen in biased._frozen])
+    assert np.array_equal(u64(plain.effective_phases() + bias), u64(biased.effective_phases()))
+
+
 @pytest.mark.parametrize("bits", [1, 3, 8, 12])
 def test_quantize_phases_is_idempotent(bits, rng):
     phases = rng.uniform(-3 * TWO_PI, 3 * TWO_PI, size=200)

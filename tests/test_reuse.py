@@ -10,6 +10,7 @@ within a stated bound.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,7 +98,20 @@ def test_pair_path_equals_a_fresh_model_per_query(problem, domain, tensorized, g
     entry of g_hat equals the fresh-model oracle bit for bit, except for the
     split weight segments, which agree within the bounds above.  Two probes
     per group, so a layer's base input and product serve several probes."""
-    cfg = _tiny_config(problem, domain, tensorized)
+    _check_pairs_against_fresh_queries(_tiny_config(problem, domain, tensorized), grouping)
+
+
+@pytest.mark.parametrize("domain,tensorized", [("weight", True), ("phase", False)], ids=["weight-tt", "phase-dense"])
+@pytest.mark.parametrize("problem", ["black-scholes", "burgers"])
+def test_monte_carlo_pair_path_equals_a_fresh_model_per_query(problem, domain, tensorized):
+    """The same with Monte-Carlo Stein pairs (`loss.mode = se`), whose plan
+    draws new offsets every step, in place of the sparse grid."""
+    cfg = replace(_tiny_config(problem, domain, tensorized), loss_mode="se", loss_samples=16)
+    _check_pairs_against_fresh_queries(cfg, "per-tensor")
+
+
+def _check_pairs_against_fresh_queries(cfg, grouping):
+    domain = cfg.domain
     problem_ = config_problem(cfg)
     stein = config_stein(cfg, problem_, SEED)
     model = build_run_model(cfg, SEED)
