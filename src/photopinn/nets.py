@@ -5,10 +5,11 @@ layer, affinely normalized inputs and a rescaled output (fixed conditioning
 taken from `models.architecture`), and one flat float64 vector theta of
 trainables with named segments, which is what the zeroth-order optimizer
 perturbs.  A layer kind supplies its shapes, whether its realization is
-linear in each segment (`multilinear`), and two steps: `realize` maps its
-parameters to what a forward multiplies by, and `apply` multiplies a block
-of rows by it.  The weight-domain kinds here are `DenseLayer` and `TTLayer`
-(model `TensorizedMlp`); the phase-domain kinds and their noise map live in
+linear in each segment (`multilinear`), the floats per row of scratch its
+product needs (`work_width`), and two steps: `realize` maps its parameters
+to what a forward multiplies by, and `apply` multiplies a block of rows by
+it.  The weight-domain kinds here are `DenseLayer` and `TTLayer` (model
+`TensorizedMlp`); the phase-domain kinds and their noise map live in
 `photonic.model` (model `PhotonicMlp`).
 
 Each layer keeps one realization, of the parameters it was last realized
@@ -18,17 +19,28 @@ the realizations of the logging query before it.
 Every forward is one pass over its rows in blocks of `BLOCK_ROWS` rows, or
 of the widest layer's width where that is larger: each block passes through
 every layer before the next block starts.  Intermediates live in block
-buffers of (block rows + 1) x the widest layer,
-two for a plain forward and four for `pairs`, allocated once per pass and
-freed when it ends.  So no array of a pass grows with rows x width, only its
-inputs and outputs grow with the rows, and a forward keeps nothing: the
-memory bound of a pass is its block buffers, the realizations it makes
-(they grow with the parameters and the probes, not the rows), and its
-inputs and outputs.
+buffers of (block rows + 1) x the slot width, two for a plain forward and
+four for `pairs`, allocated once per pass and freed when it ends.  So no
+array of a pass grows with rows x width, only its inputs and outputs grow
+with the rows, and a forward keeps nothing: the memory bound of a pass is
+its block buffers, the realizations it makes (they grow with the parameters
+and the probes, not the rows), and its inputs and outputs.
+
+A TT layer multiplies through its head-core split (`tensortrain`), whose
+intermediate T takes n r M/m floats per row (`work_width`) and goes into a
+block buffer that is free at that moment: a layer run alternates between
+two buffers, and there T takes the one a dense layer's output would take,
+and the product then goes to the other, over the layer's input when it
+sits there, which T's GEMM has read in full.  Where the input must be kept
+(the base input of a `pairs` layer), T takes a probe buffer instead.  So a
+TT layer needs no buffer of its own, but the slot width is the widest layer
+or the widest T, whichever is wider: 160 for the Burgers 100 x 100 fold
+(n r M/m = 4 x 2 x 20).  A net with no TT layer has buffers of its widest
+layer.
 
 `Mlp.pairs(x, probes)` gives, per probe (sl, delta), the outputs at theta
-with theta[sl] + delta and with theta[sl] - delta: all loss queries of one
-ZO step in one pass.  Each probe's direction or probe states are realized
+with theta[sl] + delta and with theta[sl] - delta: the loss queries of
+those probes of a ZO step in one pass.  Each probe's direction or probe states are realized
 once, before the first block.  Per block, one base forward runs
 layer by layer at theta; at layer k it holds the base input h_k (buffer 0 or
 1) and the pre-bias product P_k = h_k W_k^T (the other one), and every probe
@@ -38,7 +50,8 @@ z- depend on what the probe moves:
 
 - a bias: z = P_k + (b +/- delta), byte-identical to two plain forwards;
 - a segment of a multilinear layer (a dense weight or one TT core) with at
-  most the output layer above it: D = h_k dir^T, where dir is the layer
+  most the output layer above it, and that one with no scratch (D holds
+  the buffer its T would take): D = h_k dir^T, where dir is the layer
   realized from its base parameters with that segment set to delta, and
   z = (P_k +/- D) + b.  W is linear in the segment, so this is
   h_k (W +/- dir)^T + b rounded in another order: on the Black-Scholes
@@ -51,9 +64,10 @@ z- depend on what the probe moves:
   all of this kind runs no base forward.
 
 Its outputs are 2 x probes x rows x outputs floats.  `training.step_loss`
-scores them as one query per output column, in chunks of queries whose
-Stein combine fits in the pass's block buffers (`pass_bytes`), one
-`pde.score` call per chunk.
+passes a step's probes in groups whose outputs fit in the pass's block
+buffers (`pass_bytes`), at least one probe a group, and scores each pass's
+outputs as one query per output column, in chunks of queries whose Stein
+combine fits in those buffers too, one `pde.score` call per chunk.
 """
 
 from __future__ import annotations
@@ -64,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensortrain import TTCores, TTLayout, tt_forward, tt_reconstruct
+from .tensortrain import TTCores, TTLayout, tt_forward, tt_split
 
 __all__ = ["Mlp", "DenseLayer", "TTLayer", "TensorizedMlp", "BLOCK_ROWS"]
 
@@ -179,6 +193,7 @@ class Mlp:
         self._theta = np.concatenate(chunks, dtype=np.float64)
         self._widths = [dim] + [layer.n_out for layer in layers]  # layer k maps width k to width k + 1
         self._block_rows = max(BLOCK_ROWS, *self._widths)
+        self._slot_width = max(*self._widths, *(layer.work_width for layer in layers))
         self._realized = [None for _ in layers]  # per layer: (parameters, realization), the last realized
         self._blocks: np.ndarray | None = None  # the block buffers of the running pass
 
@@ -226,7 +241,7 @@ class Mlp:
         when the pass ends, so they never sit beside a realization's
         temporaries, which run before a pass's first block.
         """
-        self._blocks = np.empty((count, (self._block_rows + 1) * max(self._widths)))
+        self._blocks = np.empty((count, (self._block_rows + 1) * self._slot_width))
         try:
             yield
         finally:
@@ -235,7 +250,7 @@ class Mlp:
     @property
     def pass_bytes(self) -> int:
         """Bytes of the block buffers of a `pairs` pass."""
-        return _PAIR_BUFFERS * (self._block_rows + 1) * max(self._widths) * 8
+        return _PAIR_BUFFERS * (self._block_rows + 1) * self._slot_width * 8
 
     def _block(self, slot: int, rows: int, width: int) -> np.ndarray:
         """A contiguous (rows, width) view into block buffer `slot` of the running pass."""
@@ -254,14 +269,18 @@ class Mlp:
             _ACTIVATIONS[self.activation](z, out=z)
 
     def _run(self, first: int, a: np.ndarray, slots: tuple, dest: np.ndarray, realized, biases) -> None:
-        """Layers first.. at `realized` and `biases` on block a: their outputs
-        alternate between block buffers slots[1] and slots[0], and the last
-        layer writes dest.  a must not sit in slots[1]."""
+        """Layers first.. at `realized` and `biases` on block a, which sits in
+        block buffer slots[0] or in neither slot; the last layer writes dest.
+        A layer with scratch puts it in slots[1] and its output in slots[0];
+        any other writes slots[1], and the two slots swap roles."""
         last = len(self.layers) - 1
+        here, free = slots
         for k in range(first, last + 1):
-            slots = slots[::-1]
-            out = dest if k == last else self._block(slots[0], len(a), self._widths[k + 1])
-            self.layers[k].apply(a, out, realized[k], biases[k])
+            layer = self.layers[k]
+            if not layer.work_width:
+                here, free = free, here
+            out = dest if k == last else self._block(here, len(a), self._widths[k + 1])
+            layer.apply(a, out, realized[k], biases[k], self._blocks[free])
             self._activate(k, out)
             a = out
 
@@ -308,7 +327,7 @@ class Mlp:
                     product = None
                     if needs_product[k]:
                         product = self._block((k + 1) % 2, len(h), self._widths[k + 1])
-                        self.layers[k].apply(h, product, realized[k])
+                        self.layers[k].apply(h, product, realized[k], None, self._blocks[2])
                     for i, p in by_layer[k]:
                         self._probe_outputs(k, p, h, product, out[i, :, rows], realized, biases)
                     if k < top:
@@ -334,7 +353,8 @@ class Mlp:
             return _Probe(k, biases=(bias + delta, bias - delta))
         layer, params = self.layers[k], self._theta[self._param_slices[k]]
         part = slice(sl.start - self._param_slices[k].start, sl.stop - self._param_slices[k].start)
-        if layer.multilinear and k >= len(self.layers) - 2:
+        above = self.layers[k + 1 :]
+        if layer.multilinear and len(above) <= 1 and not any(a.work_width for a in above):
             moved = params.copy()
             moved[part] = delta
             return _Probe(k, direction=layer.realize(moved))
@@ -352,11 +372,11 @@ class Mlp:
         layer = self.layers[k]
         if p.direction is not None:
             d = self._block(3, len(h), self._widths[k + 1])
-            layer.apply(h, d, p.direction)
+            layer.apply(h, d, p.direction, None, self._blocks[2])
         for s, op in enumerate(_SIGNS):
             z = dest[s] if k == last else self._block(2, len(h), self._widths[k + 1])
             if p.states is not None:
-                layer.apply(h, z, p.states[s], biases[k])
+                layer.apply(h, z, p.states[s], biases[k], self._blocks[3])
             elif p.direction is not None:
                 op(product, d, out=z)
                 z += biases[k]
@@ -378,6 +398,7 @@ class DenseLayer:
     n_in: int
     n_out: int
     multilinear = True  # the realization is linear in the weight
+    work_width = 0
 
     @property
     def shapes(self):
@@ -386,7 +407,10 @@ class DenseLayer:
     def realize(self, params: np.ndarray) -> np.ndarray:
         return params.reshape(self.n_out, self.n_in).copy()
 
-    def apply(self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray | None = None) -> None:
+    def apply(
+        self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray | None = None, work=None
+    ) -> None:
+        """out = h W^T (+ bias); a dense product uses no scratch `work`."""
         np.matmul(h, realized.T, out=out)
         if bias is not None:
             out += bias
@@ -394,10 +418,10 @@ class DenseLayer:
 
 @dataclass(frozen=True)
 class TTLayer:
-    """A weight matrix in tensor-train format; realized as (cores, their reconstructed matrix)."""
+    """A weight matrix in tensor-train format; realized as the cores' head-core split."""
 
     layout: TTLayout
-    multilinear = True  # the reconstruction is linear in each core, the others fixed
+    multilinear = True  # W is linear in each core, the others fixed
 
     @property
     def n_in(self) -> int:
@@ -408,6 +432,10 @@ class TTLayer:
         return self.layout.rows
 
     @property
+    def work_width(self) -> int:
+        return self.layout.work_width
+
+    @property
     def shapes(self):
         return [(f"core{k}", self.layout.core_shape(k)) for k in range(self.layout.L)]
 
@@ -415,10 +443,12 @@ class TTLayer:
         ends = np.cumsum([math.prod(shape) for _, shape in self.shapes])
         pieces = np.split(params, ends[:-1])
         cores = TTCores(self.layout, [p.reshape(shape).copy() for p, (_, shape) in zip(pieces, self.shapes)])
-        return cores, tt_reconstruct(cores)
+        return tt_split(cores)
 
-    def apply(self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray | None = None) -> None:
-        cores, matrix = realized
-        tt_forward(cores, h, out=out, matrix=matrix)
+    def apply(
+        self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> None:
+        """out = h W^T (+ bias); out may overlap h, work must overlap neither (`tt_forward`)."""
+        tt_forward(realized, h, out=out, work=work)
         if bias is not None:
             out += bias

@@ -2,9 +2,10 @@
 
 Dense layers become ceil(M/k) x ceil(N/k) grids of k x k SVD blocks (k = 8);
 tensor-train layers realize each core unfolding (r_k-1 * m_k) x (n_k * r_k)
-as one rectangular SVD block, reshaped back into the 4-way core, and
-reconstruct the matrix those cores represent once, when realized.  A layer
-realizes its blocks from its effective phases through `svd_matrices`: a
+as one rectangular SVD block, reshaped back into the 4-way core, and split
+those cores for `tt_forward` once, when realized: the CPU multiplies a TT
+layer through its cores, as the chip does.  A layer realizes its blocks
+from its effective phases through `svd_matrices`: a
 dense layer all of its blocks in one call, a TT layer one call per core; a
 square shape's U and V meshes go to `mesh.mesh_matrices` as one batch.
 The mesh kernel holds its batch as the innermost axis, so its elementwise
@@ -29,7 +30,7 @@ import itertools
 import numpy as np
 
 from ..nets import Mlp
-from ..tensortrain import TTCores, TTLayout, tt_forward, tt_reconstruct
+from ..tensortrain import TTCores, TTLayout, tt_forward, tt_split
 from .noise import FrozenNoise, NoiseModel, apply_nonidealities
 from .svd import block_neighbors, block_phase_count, svd_matrices
 
@@ -45,6 +46,7 @@ class PhotonicDense:
     """
 
     multilinear = False  # phases enter the realized weight through sines and cosines
+    work_width = 0
 
     def __init__(self, n_in: int, n_out: int, block: int = DENSE_BLOCK_SIZE):
         self.n_in = n_in
@@ -60,7 +62,10 @@ class PhotonicDense:
     def realize(self, phases: np.ndarray) -> np.ndarray:
         return self.realized_weight(phases.reshape(self.phase_shape))
 
-    def apply(self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray | None = None) -> None:
+    def apply(
+        self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray | None = None, work=None
+    ) -> None:
+        """out = h W^T (+ bias); a dense product uses no scratch `work`."""
         np.matmul(h, realized.T, out=out)
         if bias is not None:
             out += bias
@@ -89,16 +94,18 @@ class PhotonicTT:
             self.scales.append(_sigma_scale(r0 * m, n * r1, per_core))
         self.n_in = layout.cols
         self.n_out = layout.rows
+        self.work_width = layout.work_width
         self.phase_shape = (sum(block_phase_count(a, b) for a, b in self.block_shapes),)
         self.shapes = [("phases", self.phase_shape)]
 
     def realize(self, phases: np.ndarray):
-        cores = self.realized_cores(phases)
-        return cores, tt_reconstruct(cores)
+        return tt_split(self.realized_cores(phases))
 
-    def apply(self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray | None = None) -> None:
-        cores, matrix = realized
-        tt_forward(cores, h, out=out, matrix=matrix)
+    def apply(
+        self, h: np.ndarray, out: np.ndarray, realized, bias: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> None:
+        """out = h W^T (+ bias); out may overlap h, work must overlap neither (`tt_forward`)."""
+        tt_forward(realized, h, out=out, work=work)
         if bias is not None:
             out += bias
 

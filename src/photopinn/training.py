@@ -13,6 +13,7 @@ logs a row's loss is not among them.  All stochastic streams are keyed by
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -166,10 +167,14 @@ def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: 
     shared by every query.  `loss(theta)` runs one plain forward and one
     `pinn_loss`.  `loss.pairs(theta, probes)` gives the values at
     theta[sl] +/- delta for every probe (sl, delta) of the step, as a
-    (probes, 2) array: one `model.pairs` pass over the rows, then its
-    outputs scored by `pde.score` in chunks of queries whose Stein combine
-    fits in the pass's block buffers (`model.pass_bytes`), so scoring holds
-    about what the pass held, or one query's combine if that is more.  They
+    (probes, 2) array: `model.pairs` passes over the rows, each for as many
+    probes as have outputs that fit in the pass's block buffers
+    (`model.pass_bytes`), at least one, and each pass's outputs scored by
+    `pde.score` in chunks of queries whose Stein combine fits in those
+    buffers too.  So a step holds about what one pass holds, or one probe's
+    outputs and one query's combine if that is more: every probe of a
+    sparse-grid Black-Scholes step (18.7 KB of outputs each) in one pass, a
+    Monte-Carlo one (8.5 MB each at 2,048 samples) one probe per pass.  They
     equal two plain queries bit for bit, except on a weight-domain weight
     segment with at most the output layer above it, whose product is split
     as (P +/- D) + b: there they agree within ~5e-9 relative (the `nets`
@@ -181,16 +186,21 @@ def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: 
         model.set_flat(theta)
         return pinn_loss(problem.transform(model), problem, stein, seed, step, inputs)[0]
 
+    rows = len(inputs.points)
+    per_pass = max(1, model.pass_bytes // (2 * rows * 8))  # probes per pass, each 2 x rows output floats
+    size = inputs.plan.queries_per_call(rows, model.pass_bytes)
+
     def pairs(theta, probes):
         model.set_flat(theta)
-        outputs = model.pairs(inputs.points, probes)
-        queries = outputs.reshape(-1, outputs.shape[-1])
-        size = inputs.plan.queries_per_call(queries.shape[-1], model.pass_bytes)
-        totals = [
-            score(problem, inputs, problem.transform(lambda X, u=queries[i : i + size]: u)(inputs.points))[0]
-            for i in range(0, len(queries), size)
-        ]
-        return np.concatenate(totals).reshape(outputs.shape[:2])
+        probes = iter(probes)
+        totals = []
+        while group := list(itertools.islice(probes, per_pass)):
+            queries = model.pairs(inputs.points, group).reshape(-1, rows)
+            totals += [
+                score(problem, inputs, problem.transform(lambda X, u=queries[i : i + size]: u)(inputs.points))[0]
+                for i in range(0, len(queries), size)
+            ]
+        return np.concatenate(totals).reshape(-1, 2)
 
     loss.pairs = pairs
     return loss
@@ -230,6 +240,7 @@ def _train_one_seed(cfg: RunConfig, seed: int, verbose: bool) -> SeedResult:
     adam = AdamState.zeros(len(theta))
     queries = 0
     rel = float("nan")
+    evaluated = None  # the steps run when rel was last evaluated
     can_eval = problem.reference is not None
     rows = [("step", "loss", "rel_l2", "zo_queries", "wall_time")]
     t0 = time.perf_counter()
@@ -251,7 +262,7 @@ def _train_one_seed(cfg: RunConfig, seed: int, verbose: bool) -> SeedResult:
             do_eval = can_eval and cfg.run_eval_every and (step + 1) % cfg.run_eval_every == 0
             if do_eval:
                 model.set_flat(theta)
-                rel = evaluate_model(model, problem)[0]
+                rel, evaluated = evaluate_model(model, problem)[0], steps_run
             if (step + 1) % cfg.run_log_every == 0 or do_eval or step == cfg.opt_iterations - 1:
                 loss_now = fn(theta)
                 if not np.isfinite(loss_now):
@@ -271,7 +282,7 @@ def _train_one_seed(cfg: RunConfig, seed: int, verbose: bool) -> SeedResult:
         raise NumericalFailure(f"{exc} (state dumped)", str(dump)) from exc
 
     model.set_flat(theta)
-    if can_eval:
+    if can_eval and evaluated != steps_run:  # the loop's rel is of this theta when its last step evaluated
         rel = evaluate_model(model, problem)[0]
     wall = time.perf_counter() - t0
     rows.append((steps_run, "final", f"{rel:.8e}", queries, f"{wall:.3f}"))

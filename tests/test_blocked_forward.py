@@ -1,8 +1,9 @@
 """The blocked forward against a single-GEMM oracle, and its memory bound.
 
 Forwards run in blocks of `BLOCK_ROWS` rows.  The oracle below multiplies
-all rows by each layer's whole matrix at once, as the unblocked forward did;
-the blocked forward must equal it bit for bit on either side of every block
+all rows by each layer at once, as the unblocked forward did: a dense layer
+by its matrix, a TT layer by one `tt_forward` call over all rows; the
+blocked forward must equal it bit for bit on either side of every block
 edge, on a plain call and on the probe pairs of one block-major pass.
 """
 
@@ -13,10 +14,10 @@ import pytest
 
 from photopinn.config import RunConfig
 from photopinn.models import build_model
-from photopinn.nets import BLOCK_ROWS, TTLayer
+from photopinn.nets import BLOCK_ROWS, DenseLayer, Mlp, TTLayer
 from photopinn.photonic import PhotonicTT
 from photopinn.pde import get_problem
-from photopinn.tensortrain import TTCores, tt_reconstruct
+from photopinn.tensortrain import TTCores, TTLayout, tt_forward, tt_init
 from photopinn.training import build_run_model
 
 B = BLOCK_ROWS
@@ -28,14 +29,14 @@ _ACT = {"tanh": np.tanh, "sine": np.sin}
 
 
 def _weight_layers(model):
-    """Per layer: (matrix, bias) of a weight-domain model, read from its flat vector."""
+    """Per layer: (matrix or TT cores, bias) of a weight-domain model, read from its flat vector."""
     theta = model.get_flat()
     seg = {name: theta[start:stop] for name, start, stop in model.segments()}
     out = []
     for k, lay in enumerate(model.layers):
         if isinstance(lay, TTLayer):
             cores = [seg[f"layer{k}.core{j}"].reshape(lay.layout.core_shape(j)) for j in range(lay.layout.L)]
-            matrix = tt_reconstruct(TTCores(lay.layout, cores))
+            matrix = TTCores(lay.layout, cores)
         else:
             matrix = seg[f"layer{k}.weight"].reshape(lay.n_out, lay.n_in)
         out.append((matrix, seg[f"layer{k}.bias"]))
@@ -43,7 +44,7 @@ def _weight_layers(model):
 
 
 def _phase_layers(model):
-    """Per layer: (matrix, bias) of a phase-domain model, realized from its effective phases."""
+    """Per layer: (matrix or TT cores, bias) of a phase-domain model, realized from its effective phases."""
     effective = model.effective_phases()
     theta = model.get_flat()
     spans = dict((name, (start, stop)) for name, start, stop in model.segments())
@@ -53,7 +54,7 @@ def _phase_layers(model):
         phases = effective[pos : pos + size].reshape(lay.phase_shape)
         pos += size
         if isinstance(lay, PhotonicTT):
-            matrix = tt_reconstruct(lay.realized_cores(phases))
+            matrix = lay.realized_cores(phases)
         else:
             matrix = lay.realized_weight(phases)
         start, stop = spans[f"layer{k}.bias"]
@@ -62,12 +63,12 @@ def _phase_layers(model):
 
 
 def oracle(model, x, domain):
-    """One GEMM per layer over all rows: the unblocked forward."""
+    """One product per layer over all rows: the unblocked forward."""
     layers = _weight_layers(model) if domain == "weight" else _phase_layers(model)
     h = (x - model.input_shift) * model.input_scale
     act = _ACT[model.activation]
     for k, (matrix, bias) in enumerate(layers):
-        h = h @ matrix.T
+        h = tt_forward(matrix, h) if isinstance(matrix, TTCores) else h @ matrix.T
         h += bias
         if k < len(layers) - 1:
             act(h, out=h)
@@ -233,3 +234,28 @@ def test_global_probes_run_no_base_forward(domain, monkeypatch):
     n = model.n_params
     model.pairs(x, [(slice(0, n), 0.01 * rng.standard_normal(n)) for _ in range(2)])
     assert [counts[id(layer)] for layer in model.layers] == [2 * 2 * 3] * len(model.layers)
+
+
+def test_pairs_under_a_tt_output_layer_equal_fresh_forwards():
+    """A TT output layer puts its T in the buffer a direction's D would hold,
+    so the weight below it takes both probe states instead: the pairs of
+    layer 0 equal two fresh forwards bit for bit, across block edges."""
+    lay = TTLayout((4, 4), (1, 1), (1, 2, 1))  # 16 -> 1, T 8 floats per row
+    rng = np.random.default_rng(0)
+    params = [[0.3 * rng.standard_normal((16, 2))], tt_init(lay, 1).cores]
+    model = Mlp([DenseLayer(2, 16), TTLayer(lay)], params)
+    x = rng.uniform(-1.0, 1.0, size=(2 * B + 146, 2))
+    theta = model.get_flat()
+    probes = [
+        (slice(start, stop), 0.01 * rng.standard_normal(stop - start))
+        for name, start, stop in model.segments()
+        if name.startswith("layer0.")
+    ]
+    got = model.pairs(x, probes)
+    for (sl, delta), values in zip(probes, got, strict=True):
+        for value, op in zip(values, (np.add, np.subtract)):
+            moved = theta.copy()
+            moved[sl] = op(theta[sl], delta)
+            fresh = Mlp([DenseLayer(2, 16), TTLayer(lay)], params)
+            fresh.set_flat(moved)
+            assert np.array_equal(value, fresh(x))

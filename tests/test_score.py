@@ -65,6 +65,33 @@ def test_score_equals_one_pinn_loss_per_query(name, mode, chunk, monkeypatch):
     assert [value.hex() for value in got.ravel()] == [total.hex() for total, _ in want]
 
 
+@pytest.mark.parametrize(
+    "fit,passes", [(0, [1] * PROBES), (3, [3, PROBES - 3]), (None, [PROBES])], ids=["one", "three", "all"]
+)
+@pytest.mark.parametrize("mode", ["sg", "se"])
+def test_probe_groups_equal_one_pass(mode, fit, passes, monkeypatch):
+    """A step's pairs run in passes of as many probes as have outputs that
+    fit in the pass's block buffers, at least one; the values equal those of
+    one pass over every probe, bit for bit.  `fit` sets the buffers to hold
+    that many probes' outputs; None keeps them, which hold all probes of
+    these small steps."""
+    problem, stein, model, probes = _setup("black-scholes", mode)
+    inputs = step_inputs(problem, stein, SEED, STEP)
+    theta = model.get_flat()
+    outputs = model.pairs(inputs.points, probes).reshape(2 * PROBES, -1)
+    want = score(problem, inputs, problem.transform(lambda X: outputs)(inputs.points))[0]
+
+    seen = []
+    pairs = type(model).pairs
+    monkeypatch.setattr(type(model), "pairs", lambda self, x, group: seen.append(len(group)) or pairs(self, x, group))
+    if fit is not None:
+        monkeypatch.setattr(type(model), "pass_bytes", property(lambda self: fit * 2 * len(inputs.points) * 8))
+    got = step_loss(model, problem, stein, SEED, STEP).pairs(theta, iter(probes))
+    assert seen == passes
+    assert got.shape == (PROBES, 2)
+    assert [value.hex() for value in got.ravel()] == [value.hex() for value in want]
+
+
 @pytest.mark.parametrize("name", ["black-scholes", "burgers"])
 def test_a_chunk_of_queries_combines_within_the_pass_buffers(name):
     """`SteinPlan.queries_per_call` picks the queries per combine call from
@@ -77,7 +104,8 @@ def test_a_chunk_of_queries_combines_within_the_pass_buffers(name):
     inputs = step_inputs(problem, stein, SEED, STEP)
     rows = len(inputs.points)
     size = inputs.plan.queries_per_call(rows, model.pass_bytes)
-    assert size == {"black-scholes": 19, "burgers": 1}[name]  # 130 centers x 13 nodes; 1,500 x 13
+    # 130 centers x 13 nodes; 1,500 x 13, in buffers 160 wide, the T of a Burgers TT layer
+    assert size == {"black-scholes": 19, "burgers": 2}[name]
     values = np.random.default_rng(SEED).standard_normal((size, rows))
     tracemalloc.start()
     try:

@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from photopinn.tensortrain import TTCores, TTLayout, tt_forward, tt_init, tt_param_count, tt_reconstruct
+from photopinn.models import architecture
+from photopinn.nets import TTLayer
+from photopinn.photonic import PhotonicTT
+from photopinn.tensortrain import (
+    TTCores,
+    TTLayout,
+    TTSplit,
+    tt_forward,
+    tt_init,
+    tt_param_count,
+    tt_reconstruct,
+    tt_split,
+)
 
 LAYOUTS = [
     TTLayout((4, 4, 4, 8), (8, 4, 4, 4), (1, 2, 2, 2, 1)),
@@ -15,6 +27,19 @@ LAYOUTS = [
     TTLayout((3, 4), (4, 3), (1, 2, 1)),
 ]
 
+# The folds the networks train (Black-Scholes hidden, HJB input and hidden,
+# Burgers hidden) at ranks 1, 2, 4 and 8; rank 8 on Black-Scholes is r = m,
+# the split's worst case.
+PRODUCTION_LAYOUTS = list(
+    dict.fromkeys(
+        layer
+        for rank in (1, 2, 4, 8)
+        for name in ("black-scholes", "hjb", "burgers")
+        for layer in architecture(name, True, rank).layers
+        if isinstance(layer, TTLayout)
+    )
+)
+
 
 def chain_product_matrix(cores):
     """W[i, j] = G_1(i_1, j_1) @ ... @ G_L(i_L, j_L) for every (i, j) at once.
@@ -24,13 +49,17 @@ def chain_product_matrix(cores):
     and permuting axes.
     """
     lay = cores.layout
-    rows = np.stack(np.unravel_index(np.arange(lay.rows), lay.out_factors), axis=1)
     cols = np.stack(np.unravel_index(np.arange(lay.cols), lay.in_factors), axis=1)
-    w = np.ones((lay.rows, lay.cols, 1, 1))
-    for k, core in enumerate(cores.cores):
-        # (r0, M, N, r1) slices, one per entry -> (M, N, r0, r1)
-        w = w @ core[:, rows[:, k, None], cols[None, :, k], :].transpose(1, 2, 0, 3)
-    return w[:, :, 0, 0]
+    out = np.empty((lay.rows, lay.cols))
+    for start in range(0, lay.rows, 32):  # 32 rows of W at a time bound the (rows, N, r, r) slices
+        block = np.arange(start, min(start + 32, lay.rows))
+        rows = np.stack(np.unravel_index(block, lay.out_factors), axis=1)
+        w = np.ones((len(block), lay.cols, 1, 1))
+        for k, core in enumerate(cores.cores):
+            # (r0, rows, N, r1) slices, one per entry -> (rows, N, r0, r1)
+            w = w @ core[:, rows[:, k, None], cols[None, :, k], :].transpose(1, 2, 0, 3)
+        out[block] = w[:, :, 0, 0]
+    return out
 
 
 def test_param_count_512_example():
@@ -83,13 +112,36 @@ def test_reconstruct_cap():
         tt_reconstruct(cores, cap=10_000)
 
 
-@pytest.mark.parametrize("lay", LAYOUTS)
+@pytest.mark.parametrize("lay", LAYOUTS + PRODUCTION_LAYOUTS)
 def test_forward_matches_dense(lay, rng):
+    """The head-core split against x W^T with W from the entry-wise oracle,
+    within 1e-14 of the largest output: on a batch, on one vector, and into
+    `out` with T in a caller's `work` buffer.  LAYOUTS holds a one-core layout."""
     cores = tt_init(lay, 5)
     x = rng.standard_normal((9, lay.cols))
     dense = x @ chain_product_matrix(cores).T
-    assert np.abs(tt_forward(cores, x) - dense).max() < 1e-10
-    assert np.abs(tt_forward(cores, x[0]) - dense[0]).max() < 1e-10
+    bound = 1e-14 * np.abs(dense).max()
+    assert np.abs(tt_forward(cores, x) - dense).max() <= bound
+    assert np.abs(tt_forward(cores, x[0]) - dense[0]).max() <= bound
+    out, work = np.full((9, lay.rows), np.nan), np.full(9 * lay.work_width, np.nan)
+    assert tt_forward(tt_split(cores), x, out=out, work=work) is out
+    assert np.abs(out - dense).max() <= bound
+
+
+@pytest.mark.parametrize("lay", [lay for lay in PRODUCTION_LAYOUTS if lay.ranks[1] < lay.out_factors[0]])
+def test_a_realization_holds_no_dense_matrix(lay):
+    """Both domains realize a TT layer as its split: the cores, the head and
+    the tail, none of them as large as the M x N matrix.  The tail holds r/m
+    of its entries, so the folds are taken at ranks r < m."""
+    weight = TTLayer(lay).realize(np.concatenate([c.ravel() for c in tt_init(lay, 0).cores]))
+    phase_layer = PhotonicTT(lay)
+    phase = phase_layer.realize(np.random.default_rng(0).uniform(0.0, 2 * np.pi, phase_layer.phase_shape))
+    for split in (weight, phase):
+        assert isinstance(split, TTSplit)
+        assert split.head.shape == (lay.out_factors[0], lay.in_factors[0] * lay.ranks[1])
+        assert split.tail.shape == (lay.ranks[1] * lay.rows // lay.out_factors[0], lay.cols // lay.in_factors[0])
+        for array in (*split.cores.cores, split.head, split.tail):
+            assert array.size < lay.rows * lay.cols
 
 
 def test_forward_identity_single_core():

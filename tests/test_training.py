@@ -8,8 +8,9 @@ import pytest
 
 from photopinn.config import RunConfig
 from photopinn.models import build_model
+from photopinn import training
 from photopinn.pde import black_scholes, get_problem, problems
-from photopinn.training import evaluate_model, train
+from photopinn.training import evaluate_model, load_model, train
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])
@@ -85,3 +86,46 @@ def test_closed_form_holdout_reference_is_computed_once(monkeypatch):
     assert not ref.flags.writeable
     assert np.array_equal(pts, get_problem("black-scholes").holdout_points())
     assert np.array_equal(ref, exact(pts[:, 0], pts[:, 1]))
+
+
+@pytest.mark.parametrize("target,steps", [(0.0, 2), (10.0, 1)], ids=["every-step", "target-stop"])
+def test_the_holdout_is_evaluated_once_per_theta(target, steps, tmp_path, monkeypatch):
+    """At run.eval_every = 1 the last step's evaluation is the final one: two
+    steps evaluate twice, and a run.target_rel_l2 stop after step 1 once.
+    The final row and report.txt read what a fresh evaluation of the saved
+    theta gives, as when the final row evaluated again."""
+    thetas = []
+
+    def counted(model, problem):
+        thetas.append(model.get_flat())
+        return evaluate_model(model, problem)
+
+    monkeypatch.setattr(training, "evaluate_model", counted)
+    cfg = RunConfig(
+        problem_name="black-scholes",
+        problem_residual_points=4,
+        problem_initial_points=2,
+        problem_boundary_points=2,
+        opt_iterations=2,
+        run_eval_every=1,
+        run_target_rel_l2=target,
+        run_out_dir=str(tmp_path),
+    )
+    train(cfg)
+    assert len(thetas) == steps
+    seed_dir = tmp_path / "black-scholes" / f"seed{cfg.seeds[0]}"
+    model, _ = load_model(seed_dir / "checkpoint.npz")
+    assert np.array_equal(thetas[-1], model.get_flat())
+    rel = evaluate_model(model, get_problem("black-scholes"))[0]
+    *logged, final = (seed_dir / "metrics.csv").read_text().splitlines()
+    assert final.rsplit(",", 1)[0] == f"{steps},final,{rel:.8e},{2 * 8 * steps}"
+    assert logged[-1].split(",")[2] == f"{rel:.8e}"
+    report = json.loads((seed_dir / "report.txt").read_text())
+    del report["wall_time"]
+    assert report == {
+        "seed": cfg.seeds[0],
+        "steps_run": steps,
+        "stopped_early": target > 0,
+        "final_rel_l2": rel,
+        "zo_queries": 2 * 8 * steps,
+    }
