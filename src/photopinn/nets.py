@@ -40,28 +40,54 @@ layer.
 
 `Mlp.pairs(x, probes)` gives, per probe (sl, delta), the outputs at theta
 with theta[sl] + delta and with theta[sl] - delta: the loss queries of
-those probes of a ZO step in one pass.  Each probe's direction or probe states are realized
-once, before the first block.  Per block, one base forward runs
-layer by layer at theta; at layer k it holds the base input h_k (buffer 0 or
-1) and the pre-bias product P_k = h_k W_k^T (the other one), and every probe
-of layer k takes its two outputs from them, in buffers 2 and 3, with the
-layers above k at their base realizations.  Layer k's pre-activations z+ and
-z- depend on what the probe moves:
+those probes of a ZO step in one pass.  Each probe's direction or probe
+states are realized once, before the first block.  Per block, one base
+forward runs layer by layer at theta; at layer k it holds the base input h_k
+(buffer 0 or 1) and the pre-bias product P_k = h_k W_k^T (the other one),
+and every probe of layer k takes its two outputs from them, in buffers 2
+and 3, with the layers above k at their base realizations.  Layer k's
+pre-activations z+ and z- depend on what the probe moves:
 
 - a bias: z = P_k + (b +/- delta), byte-identical to two plain forwards;
 - a segment of a multilinear layer (a dense weight or one TT core) with at
-  most the output layer above it, and that one with no scratch (D holds
-  the buffer its T would take): D = h_k dir^T, where dir is the layer
-  realized from its base parameters with that segment set to delta, and
-  z = (P_k +/- D) + b.  W is linear in the segment, so this is
-  h_k (W +/- dir)^T + b rounded in another order: on the Black-Scholes
-  loss at sigma = 1e-3, which amplifies rounding by 1/sigma^2, the loss
-  values move by up to ~5e-9 relative (tests/test_reuse.py states the bound);
+  most the output layer above it, and that one with no scratch: D = h_k
+  dir^T in buffer 3, where dir is the layer realized from its base
+  parameters with that segment set to delta, and z = (P_k + b) +/- D.  W
+  is linear in the segment, so this is h_k (W +/- dir)^T + b rounded in
+  another order: on the Black-Scholes loss at sigma = 1e-3, which amplifies
+  rounding by 1/sigma^2, the loss values move by up to ~6.5e-9 relative
+  (tests/test_reuse.py states the bound), as much as with the order
+  (P_k +/- D) + b that the bias addition once per layer replaced;
 - any other segment (phases, or a deeper weight layer): both states
   realized, as a chip reprograms its shifters; byte-identical;
 - a slice that is not one whole segment (global grouping): every layer at
   theta +/- delta, from layer 0; byte-identical.  A pass whose probes are
   all of this kind runs no base forward.
+
+Layer k's work in a block starts from the base's, in this order:
+
+1. P_k, whose T a TT layer puts in buffer 2;
+2. D of the first probe of a TT layer's head core (segment core0), read
+   from that T in buffer 2 into buffer 3 (`tensortrain.tt_head`): the
+   direction keeps the base tail, so its T is the base's bit for bit, and
+   it is realized as its head alone (`tensortrain.tt_with_head`);
+3. the other probes: the bias probes from P_k, byte-identical as before,
+   or the both-state ones of a layer that has no direction probes.  A
+   bias probe writes z to buffer 2 or to the output, and the layer above
+   a direction layer, if any, is a scratch-free output layer, so D stays
+   in buffer 3;
+4. P_k += b, once;
+5. each direction probe, the head-core one of step 2 first: its D (any
+   other computed now, into buffer 3 with T in buffer 2), then
+   z = (P_k + b) +/- D.
+
+A second head-core probe of the layer finds T overwritten by the outputs
+of the probes before it, so it multiplies through the full split again.
+Against the order that added b per direction sign and ran every head
+direction through its full split, `bs-tt-weight` went from 62.6 to 66.8
+steps/s (medians of 10 alternating 40 s `benchmarks/run.py` pairs on one
+pinned core).  The phase domain has no direction probes, so its outputs
+keep their bytes.
 
 Its outputs are 2 x probes x rows x outputs floats.  `training.step_loss`
 passes a step's probes in groups whose outputs fit in the pass's block
@@ -78,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensortrain import TTCores, TTLayout, tt_forward, tt_split
+from .tensortrain import TTCores, TTLayout, tt_forward, tt_head, tt_split, tt_with_head
 
 __all__ = ["Mlp", "DenseLayer", "TTLayer", "TensorizedMlp", "BLOCK_ROWS"]
 
@@ -134,6 +160,7 @@ class _Probe:
     biases: tuple | None = None  # b +/- delta; per state, every layer's bias when k = -1
     direction: object = None
     states: tuple | None = None
+    head: bool = False  # the direction moves a TT layer's head core only: its T is the base product's
 
 
 class Mlp:
@@ -312,6 +339,11 @@ class Mlp:
         top = max((p.k for p in plans), default=-1)  # the base forward runs up to the top probed layer
         whole = [(i, p) for i, p in enumerate(plans) if p.k < 0]  # the probes of no single segment
         by_layer = [[(i, p) for i, p in enumerate(plans) if p.k == k] for k in range(top + 1)]
+        # per layer, its bias and states probes, then its direction probes with the head-core ones first
+        others = [[(i, p) for i, p in probes if p.direction is None] for probes in by_layer]
+        directions = [sorted(((i, p) for i, p in probes if p.direction is not None), key=lambda ip: not ip[1].head)
+                      for probes in by_layer]
+        reuse = [bool(probes) and probes[0][1].head for probes in directions]  # the first takes the base T
         # the base product P_k feeds the layers above k, and the bias and direction probes of layer k
         needs_product = [k < top or any(p.states is None for _, p in by_layer[k]) for k in range(top + 1)]
         realized = [self._realization(j) for j in range(len(self.layers))] if top >= 0 else None
@@ -324,14 +356,20 @@ class Mlp:
                     for s in range(2):
                         self._run(0, h, (3, 2), out[i, s, rows], p.states[s], p.biases[s])
                 for k in range(top + 1):
-                    product = None
+                    layer, product = self.layers[k], None
                     if needs_product[k]:
                         product = self._block((k + 1) % 2, len(h), self._widths[k + 1])
-                        self.layers[k].apply(h, product, realized[k], None, self._blocks[2])
-                    for i, p in by_layer[k]:
+                        layer.apply(h, product, realized[k], None, self._blocks[2])
+                    if reuse[k]:  # D of the first head probe, from the T the base product left in buffer 2
+                        d = self._block(3, len(h), self._widths[k + 1])
+                        tt_head(directions[k][0][1].direction, self._blocks[2], d)
+                    for i, p in others[k]:
                         self._probe_outputs(k, p, h, product, out[i, :, rows], realized, biases)
-                    if k < top:
+                    if directions[k] or k < top:
                         product += biases[k]
+                    for j, (i, p) in enumerate(directions[k]):
+                        self._probe_outputs(k, p, h, product, out[i, :, rows], realized, biases, reuse[k] and j == 0)
+                    if k < top:
                         self._activate(k, product)
                         h = product
         return self._output(out)
@@ -355,6 +393,8 @@ class Mlp:
         part = slice(sl.start - self._param_slices[k].start, sl.stop - self._param_slices[k].start)
         above = self.layers[k + 1 :]
         if layer.multilinear and len(above) <= 1 and not any(a.work_width for a in above):
+            if isinstance(layer, TTLayer) and part.start == 0:
+                return _Probe(k, direction=tt_with_head(self._realization(k), delta), head=True)
             moved = params.copy()
             moved[part] = delta
             return _Probe(k, direction=layer.realize(moved))
@@ -365,21 +405,23 @@ class Mlp:
             states.append(layer.realize(self._effective(k, moved)))
         return _Probe(k, states=tuple(states))
 
-    def _probe_outputs(self, k, p: _Probe, h, product, dest, realized, biases) -> None:
+    def _probe_outputs(self, k, p: _Probe, h, product, dest, realized, biases, have_d: bool = False) -> None:
         """Both outputs of probe p on layer k for one block, from its base input
-        h and pre-bias product; dest is (2, block rows, outputs)."""
+        h and base product: P_k for a bias probe, P_k + b_k for a direction
+        probe, whose D is in buffer 3 already when `have_d`.  dest is
+        (2, block rows, outputs)."""
         last = len(self.layers) - 1
         layer = self.layers[k]
         if p.direction is not None:
             d = self._block(3, len(h), self._widths[k + 1])
-            layer.apply(h, d, p.direction, None, self._blocks[2])
+            if not have_d:
+                layer.apply(h, d, p.direction, None, self._blocks[2])
         for s, op in enumerate(_SIGNS):
             z = dest[s] if k == last else self._block(2, len(h), self._widths[k + 1])
             if p.states is not None:
                 layer.apply(h, z, p.states[s], biases[k], self._blocks[3])
             elif p.direction is not None:
                 op(product, d, out=z)
-                z += biases[k]
             else:
                 np.add(product, p.biases[s], out=z)
             if k < last:

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..quadrature import SteinConfig, SteinPlan
+from ..quadrature import SteinConfig, SteinPlan, stein_plan
 from . import black_scholes as bs
 from . import burgers as bg
 from . import darcy as dc
@@ -320,7 +320,7 @@ class StepInputs:
 def step_inputs(problem: PinnProblem, stein_cfg: SteinConfig, batch_seed: int, step: int = 0) -> StepInputs:
     """Batch, Stein plan, evaluation points and data targets of one step; keyed by (seed, step)."""
     batch = sample_batch(problem, batch_seed, step)
-    plan = SteinPlan(stein_cfg, problem.input_dim, call_index=step)
+    plan = stein_plan(stein_cfg, problem.input_dim, call_index=step)
     data = []
     pos = len(batch["residual"])
     for term in problem.data:

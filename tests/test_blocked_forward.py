@@ -14,10 +14,11 @@ import pytest
 
 from photopinn.config import RunConfig
 from photopinn.models import build_model
+from photopinn import nets
 from photopinn.nets import BLOCK_ROWS, DenseLayer, Mlp, TTLayer
 from photopinn.photonic import PhotonicTT
 from photopinn.pde import get_problem
-from photopinn.tensortrain import TTCores, TTLayout, tt_forward, tt_init
+from photopinn.tensortrain import TTCores, TTLayout, tt_forward, tt_head, tt_init
 from photopinn.training import build_run_model
 
 B = BLOCK_ROWS
@@ -105,7 +106,7 @@ def test_pairs_equal_one_gemm_per_layer(domain, tensorized, rows):
     either side of every block edge: the bias pairs, the phase pairs and the
     weight pairs below two or more layers equal the oracle at theta +/- delta
     bit for bit; the weight pairs below at most the output layer take the
-    (P +/- D) + b split and agree within rounding."""
+    (P + b) +/- D split and agree within rounding."""
     model = _model(domain, tensorized)
     x = np.random.default_rng(rows).uniform([-1.0, 0.0], [1.0, 1.0], size=(rows, 2))
     theta = model.get_flat()
@@ -195,7 +196,7 @@ def _count_applies(model, monkeypatch) -> dict:
 @pytest.mark.parametrize(
     "domain,tensorized,applies",
     [
-        ("weight", True, [3, 8, 14]),
+        ("weight", True, [3, 7, 14]),
         ("weight", False, [3, 6, 10]),
         ("phase", True, [3, 7, 11]),
         ("phase", False, [3, 7, 11]),
@@ -209,7 +210,8 @@ def test_a_step_applies_the_layers_below_each_probe_once(domain, tensorized, app
     layer), twice per pair that realizes both states of it, and twice per
     pair on a layer below it; never for a pair on a layer above it.  Layer 1
     of the TT model: 2 x 2 for the two pairs of layer 0, 1 for its product,
-    3 for its cores' directions.
+    2 for the directions of cores 1 and 2; core 0's direction takes the T
+    of the base product and is no apply (`tensortrain.tt_head`).
     """
     cfg = RunConfig(problem_name="black-scholes", domain=domain, model_tensorized=tensorized)
     model = build_run_model(cfg, 0)
@@ -218,6 +220,29 @@ def test_a_step_applies_the_layers_below_each_probe_once(domain, tensorized, app
     rng = np.random.default_rng(1)
     model.pairs(x, [(slice(start, stop), 0.01 * rng.standard_normal(stop - start)) for _, start, stop in model.segments()])
     assert [counts[id(layer)] for layer in model.layers] == [3 * n for n in applies]  # three row blocks
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_one_head_core_probe_per_layer_and_block_reads_the_base_T(heads, monkeypatch):
+    """Of several probes of a TT layer's head core in one pass, the first
+    takes its D from the T of each block's base product (`tt_head`); the
+    others multiply through the full split, since the bias probes overwrite
+    that T first.  With one delta for all of them, every head probe's
+    outputs are equal bit for bit, whichever path made them."""
+    model = build_run_model(RunConfig(problem_name="black-scholes", model_tensorized=True), 0)
+    spans = {name: slice(start, stop) for name, start, stop in model.segments()}
+    head, bias = spans["layer1.core0"], spans["layer1.bias"]
+    rng = np.random.default_rng(1)
+    delta = 0.01 * rng.standard_normal(head.stop - head.start)
+    probes = [(bias, 0.01 * rng.standard_normal(bias.stop - bias.start))] + [(head, delta)] * heads
+    counts = _count_applies(model, monkeypatch)
+    reads = []
+    monkeypatch.setattr(nets, "tt_head", lambda *args: reads.append(args) or tt_head(*args))
+    x = np.random.default_rng(0).uniform([0.0, 0.0], [200.0, 1.0], size=(2 * B + 146, 2))
+    got = model.pairs(x, probes)
+    assert (len(reads), counts[id(model.layers[1])]) == (3, 3 * heads)  # three row blocks
+    for value in got[2:]:
+        assert np.array_equal(value, got[1])
 
 
 @pytest.mark.parametrize("domain", ["weight", "phase"])

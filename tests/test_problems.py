@@ -13,7 +13,7 @@ import pytest
 
 from photopinn.config import RunConfig
 from photopinn.pde import black_scholes as bs
-from photopinn.pde import get_problem, pinn_loss, sample_batch
+from photopinn.pde import get_problem, pinn_loss, sample_batch, step_inputs
 from photopinn.training import config_problem, config_stein
 
 GOLDEN = {
@@ -67,6 +67,20 @@ def test_loss_terms_match_the_recorded_bits(name, step):
     problem = config_problem(cfg)
     _, terms = pinn_loss(poly, problem, config_stein(cfg, problem, 3), batch_seed=3, step=step)
     assert {key: value.hex() for key, value in terms.items()} == GOLDEN[name, step]
+
+
+@pytest.mark.parametrize("mode", ["sg", "se"])
+def test_steps_share_one_sparse_grid_plan(mode):
+    """A sparse-grid Stein plan depends on (sigma, level, dim) alone, so
+    every step gets the one plan of the process, with read-only tables; a
+    Monte-Carlo plan draws new offsets every step."""
+    cfg = RunConfig(problem_name="black-scholes", loss_mode=mode)
+    problem = config_problem(cfg)
+    first, second = (step_inputs(problem, config_stein(cfg, problem, 3), 3, step).plan for step in (0, 1))
+    assert (first is second) == (mode == "sg")
+    assert np.array_equal(first.offsets, second.offsets) == (mode == "sg")
+    for table in (first.offsets, first.weights, first.pair, first.queried, first.c_first, first.c_second):
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("name", sorted(FACES))

@@ -11,10 +11,12 @@ from photopinn.tensortrain import (
     TTLayout,
     TTSplit,
     tt_forward,
+    tt_head,
     tt_init,
     tt_param_count,
     tt_reconstruct,
     tt_split,
+    tt_with_head,
 )
 
 LAYOUTS = [
@@ -126,6 +128,25 @@ def test_forward_matches_dense(lay, rng):
     out, work = np.full((9, lay.rows), np.nan), np.full(9 * lay.work_width, np.nan)
     assert tt_forward(tt_split(cores), x, out=out, work=work) is out
     assert np.abs(out - dense).max() <= bound
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
+@pytest.mark.parametrize("lay", LAYOUTS + PRODUCTION_LAYOUTS)
+def test_the_head_half_on_the_base_T_equals_the_full_split(lay, rows, rng):
+    """A split that differs from the base in its head core only: its head
+    times the T a base product left in `work` equals `tt_forward` through
+    its full split, tail chained again, bit for bit; and so does a product
+    through `tt_with_head`, which shares the base's tail."""
+    base = tt_split(tt_init(lay, 5))
+    x = rng.standard_normal((rows, lay.cols))
+    work = np.full(rows * lay.work_width + 1, np.nan)
+    tt_forward(base, x, work=work)
+    head = rng.standard_normal(lay.core_shape(0))
+    moved = tt_with_head(base, head)
+    got = tt_head(moved, work, np.full((rows, lay.rows), np.nan))
+    assert np.array_equal(got, tt_forward(TTCores(lay, [head, *base.cores.cores[1:]]), x))
+    assert np.array_equal(got, tt_forward(moved, x, work=np.empty_like(work)))
+    assert moved.tail is base.tail and np.array_equal(moved.cores.cores[0], head)
 
 
 @pytest.mark.parametrize("lay", [lay for lay in PRODUCTION_LAYOUTS if lay.ranks[1] < lay.out_factors[0]])
