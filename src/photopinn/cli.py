@@ -17,7 +17,7 @@ import numpy as np
 from .config import ConfigError
 from .pde.oracles import ORACLES
 from .pde.problems import OracleNotBuilt
-from .photonic.cost import ARCHITECTURES
+from .photonic.cost import FOOTPRINT_TABLE
 from .quadrature import QuadratureError
 from .reproduce import TABLE_IDS
 
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     p_ob.set_defaults(handler=_cmd_oracle)
 
     p_cost = sub.add_parser("cost", help="latency/footprint tables")
-    p_cost.add_argument("--arch", default="all", choices=("all", *ARCHITECTURES))
+    p_cost.add_argument("--arch", default="all", choices=("all", *FOOTPRINT_TABLE))
     p_cost.set_defaults(handler=_cmd_cost)
 
     p_mzi = sub.add_parser("mzi-count", help="per-layer MZI counts for a configured model")
@@ -157,7 +157,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_cost(args) -> int:
     from .photonic.cost import footprint, latency
 
-    archs = list(ARCHITECTURES) if args.arch == "all" else [args.arch]
+    archs = list(FOOTPRINT_TABLE) if args.arch == "all" else [args.arch]
     print("arch,t_inference_ns,t_epoch_ms,t_total_s,footprint_mm2")
     for arch in archs:
         lat = latency(arch=arch)

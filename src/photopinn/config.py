@@ -87,8 +87,20 @@ class RunConfig:
             raise ConfigError(f"zo.distribution must be gaussian|rademacher, got {self.zo_distribution!r}")
         if self.zo_grouping not in ("global", "per-tensor"):
             raise ConfigError(f"zo.grouping must be global|per-tensor, got {self.zo_grouping!r}")
+        if not self.opt_lr > 0:
+            raise ConfigError(f"opt.lr must be > 0, got {self.opt_lr!r}")
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, f"opt_{name}")
+            if not 0 <= beta < 1:
+                raise ConfigError(f"opt.{name} must be in [0, 1), got {beta!r}")
+        if not self.opt_eps > 0:
+            raise ConfigError(f"opt.eps must be > 0, got {self.opt_eps!r}")
+        if self.opt_iterations < 0:
+            raise ConfigError(f"opt.iterations must be >= 0, got {self.opt_iterations}")
         if self.run_log_every < 1:
             raise ConfigError(f"run.log_every must be >= 1, got {self.run_log_every}")
+        if self.run_eval_every < 0:
+            raise ConfigError(f"run.eval_every must be >= 0, got {self.run_eval_every}")
         if self.noise_bits < 0:
             raise ConfigError(f"noise.bits must be >= 0, got {self.noise_bits}")
         if not self.noise_gamma_std >= 0:
@@ -133,21 +145,21 @@ _KEY_TO_FIELD = {_dotted(f.name): f for f in fields(RunConfig)}
 
 def _parse_value(f, raw: str):
     raw = raw.strip()
-    tname = f.type if isinstance(f.type, str) else str(f.type)
-    if tname in ("bool", str(bool)):
+    # `from __future__ import annotations` leaves every field type as its source text, e.g. 'tuple[int, ...]'
+    if f.type == "bool":
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{_dotted(f.name)}: expected a boolean, got {raw!r}")
     try:
-        if tname in ("int", str(int)):
+        if f.type == "int":
             expected = "an integer"
             return int(raw)
-        if tname in ("float", str(float)):
+        if f.type == "float":
             expected = "a number"
             return float(raw)
-        if tname.startswith("tuple"):
+        if f.type.startswith("tuple"):
             expected = "comma-separated integers"
             return tuple(int(v) for v in raw.replace(",", " ").split())
     except ValueError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .models import architecture, build_model, phase_layers
-from .photonic.cost import footprint, latency, mzi_count
+from .photonic.cost import WAVELENGTHS, footprint, latency, mzi_count
 from .photonic.model import PhotonicDense, PhotonicTT
 from .quadrature import build_sparse_grid
 from .tensortrain import tt_param_count
@@ -90,7 +90,7 @@ def _params_table(run_dir):
 def _mzi_table(run_dir):
     def tt_total(problem):
         layers = phase_layers(architecture(problem))
-        return sum(mzi_count(layer, wavelengths=8) for layer in layers if isinstance(layer, PhotonicTT))
+        return sum(mzi_count(layer, wavelengths=WAVELENGTHS) for layer in layers if isinstance(layer, PhotonicTT))
 
     rows = [
         _row("dense 128x128 (any blocking)", mzi_count(PhotonicDense(128, 128)), 16_384, 0),

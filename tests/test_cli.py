@@ -140,6 +140,14 @@ def test_train_with_invalid_noise_or_point_count_exits_2_before_writing(key, raw
     assert not (tmp_path / "runs").exists()
 
 
+def test_train_with_beta1_of_one_exits_2_before_writing(tmp_path, capsys):
+    """Adam's bias correction would divide by 1 - beta1^t = 0 at the first step."""
+    cfg = _write_config(tmp_path, "opt.beta1 = 1.0\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+    assert "config error: opt.beta1 must be in [0, 1), got 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "setting,key,raw,message",
     [

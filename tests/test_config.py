@@ -1,8 +1,11 @@
-"""Config text round trips: serialize, parse, and environment overrides through load_config."""
+"""Config text round trips: serialize, parse, environment overrides through load_config, and refused values."""
 
+import re
 from dataclasses import fields
 
-from photopinn.config import ENV_PREFIX, RunConfig, load_config, parse_config, serialize_config
+import pytest
+
+from photopinn.config import ENV_PREFIX, ConfigError, RunConfig, load_config, parse_config, serialize_config
 
 # Every field away from its default.
 CONFIG = RunConfig(
@@ -72,3 +75,24 @@ def test_every_field_overrides_through_the_environment(tmp_path, monkeypatch):
     assert load_config(path) == CONFIG
     assert load_config(path, apply_env=False) == RunConfig()
     assert load_config(path, opt_lr=0.5).opt_lr == 0.5  # explicit arguments beat the environment
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("opt_lr", -1.0, "opt.lr must be > 0, got -1.0"),  # climbs the loss
+        ("opt_lr", 0.0, "opt.lr must be > 0, got 0.0"),
+        ("opt_lr", float("nan"), "opt.lr must be > 0, got nan"),
+        ("opt_beta1", 1.0, "opt.beta1 must be in [0, 1), got 1.0"),  # Adam's bias correction divides by 1 - beta1^t
+        ("opt_beta1", -0.1, "opt.beta1 must be in [0, 1), got -0.1"),
+        ("opt_beta2", 1.0, "opt.beta2 must be in [0, 1), got 1.0"),
+        ("opt_beta2", -0.5, "opt.beta2 must be in [0, 1), got -0.5"),
+        ("opt_eps", 0.0, "opt.eps must be > 0, got 0.0"),
+        ("opt_eps", -1e-8, "opt.eps must be > 0, got -1e-08"),
+        ("opt_iterations", -3, "opt.iterations must be >= 0, got -3"),  # would run no step and exit 0
+        ("run_eval_every", -1, "run.eval_every must be >= 0, got -1"),  # would evaluate every step
+    ],
+)
+def test_invalid_optimizer_and_run_values_are_config_errors(field, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig(**{field: value})
