@@ -24,6 +24,16 @@ class ConfigError(ValueError):
     pass
 
 
+# The keys bounded only from below, and their lowest value.  A problem.sigma
+# of 0, or a point count of 0, takes the problem's own.
+_LOWEST = {
+    "problem.sigma": 0, "problem.lambda0": 0, "problem.lambdab": 0,
+    "problem.residual_points": 0, "problem.initial_points": 0, "problem.boundary_points": 0,
+    "loss.samples": 1, "zo.queries": 1, "opt.iterations": 0,
+    "noise.bits": 0, "noise.gamma_std": 0, "run.log_every": 1, "run.eval_every": 0,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # problem
@@ -73,14 +83,18 @@ class RunConfig:
     run_target_rel_l2: float = 0.0  # > 0 -> stop early once the hold-out metric reaches it
 
     def __post_init__(self):
+        for key, lowest in _LOWEST.items():
+            value = getattr(self, key.replace(".", "_"))
+            if not value >= lowest:
+                raise ConfigError(f"{key} must be >= {lowest}, got {value!r}")
         if self.domain not in ("weight", "phase"):
             raise ConfigError(f"domain must be weight|phase, got {self.domain!r}")
         if self.loss_mode not in ("sg", "se"):
             raise ConfigError(f"loss.mode must be sg|se, got {self.loss_mode!r}")
+        if self.loss_level not in (1, 2, 3):
+            raise ConfigError(f"loss.level must be 1|2|3, got {self.loss_level}")
         if self.opt_algorithm not in ("adam", "sgd"):
             raise ConfigError(f"opt.algorithm must be adam|sgd, got {self.opt_algorithm!r}")
-        if self.zo_queries < 1:
-            raise ConfigError(f"zo.queries must be >= 1, got {self.zo_queries}")
         if not self.zo_radius > 0:
             raise ConfigError(f"zo.radius must be > 0, got {self.zo_radius!r}")
         if self.zo_distribution not in ("", "gaussian", "rademacher"):
@@ -95,28 +109,10 @@ class RunConfig:
                 raise ConfigError(f"opt.{name} must be in [0, 1), got {beta!r}")
         if not self.opt_eps > 0:
             raise ConfigError(f"opt.eps must be > 0, got {self.opt_eps!r}")
-        if self.opt_iterations < 0:
-            raise ConfigError(f"opt.iterations must be >= 0, got {self.opt_iterations}")
-        if self.run_log_every < 1:
-            raise ConfigError(f"run.log_every must be >= 1, got {self.run_log_every}")
-        if self.run_eval_every < 0:
-            raise ConfigError(f"run.eval_every must be >= 0, got {self.run_eval_every}")
-        if self.noise_bits < 0:
-            raise ConfigError(f"noise.bits must be >= 0, got {self.noise_bits}")
-        if not self.noise_gamma_std >= 0:
-            raise ConfigError(f"noise.gamma_std must be >= 0, got {self.noise_gamma_std!r}")
         if not 0 <= self.noise_crosstalk < 1:
             raise ConfigError(f"noise.crosstalk must be in [0, 1), got {self.noise_crosstalk!r}")
-        for key in ("lambda0", "lambdab"):
-            weight = getattr(self, f"problem_{key}")
-            if not weight >= 0:
-                raise ConfigError(f"problem.{key} must be >= 0, got {weight!r}")
         if not 0 <= self.problem_margin < 0.5:
             raise ConfigError(f"problem.margin must be in [0, 0.5), got {self.problem_margin!r}")
-        for kind in ("residual", "initial", "boundary"):
-            points = getattr(self, f"problem_{kind}_points")
-            if points < 0:
-                raise ConfigError(f"problem.{kind}_points must be >= 0, got {points}")
 
     @property
     def seeds(self) -> tuple[int, ...]:

@@ -21,10 +21,11 @@ of the widest layer's width where that is larger: each block passes through
 every layer before the next block starts.  Intermediates live in block
 buffers of (block rows + 1) x the slot width, two for a plain forward and
 four for `pairs`, allocated once per pass and freed when it ends.  So no
-array of a pass grows with rows x width, only its inputs and outputs grow
-with the rows, and a forward keeps nothing: the memory bound of a pass is
-its block buffers, the realizations it makes (they grow with the parameters
-and the probes, not the rows), and its inputs and outputs.
+array of a pass grows with rows x width, and a forward keeps nothing: the
+memory bound of a pass is its block buffers, the realizations it makes
+(they grow with the parameters and the probes, not the rows), and its inputs
+and outputs.  A plain call's outputs grow with the rows; those of `pairs`
+do not, since it hands out each block's outputs before the next block runs.
 
 A TT layer multiplies through its head-core split (`tensortrain`), whose
 intermediate T takes n r M/m floats per row (`work_width`) and goes into a
@@ -89,11 +90,11 @@ steps/s (medians of 10 alternating 40 s `benchmarks/run.py` pairs on one
 pinned core).  The phase domain has no direction probes, so its outputs
 keep their bytes.
 
-Its outputs are 2 x probes x rows x outputs floats.  `training.step_loss`
-passes a step's probes in groups whose outputs fit in the pass's block
-buffers (`pass_bytes`), at least one probe a group, and scores each pass's
-outputs as one query per output column, in chunks of queries whose Stein
-combine fits in those buffers too, one `pde.score` call per chunk.
+Its outputs are 2 x probes x block rows floats a block, in one buffer of
+the pass that each block overwrites: `pairs` yields each block's outputs as
+soon as its last layer has run, and `training.step_loss` scores them then
+(`pde.score`), so no array of a step grows with probes x rows.  While a pass
+is open, the model runs no other forward: they would share its buffers.
 """
 
 from __future__ import annotations
@@ -274,11 +275,6 @@ class Mlp:
         finally:
             self._blocks = None
 
-    @property
-    def pass_bytes(self) -> int:
-        """Bytes of the block buffers of a `pairs` pass."""
-        return _PAIR_BUFFERS * (self._block_rows + 1) * self._slot_width * 8
-
     def _block(self, slot: int, rows: int, width: int) -> np.ndarray:
         """A contiguous (rows, width) view into block buffer `slot` of the running pass."""
         return self._blocks[slot, : rows * width].reshape(rows, width)
@@ -329,10 +325,12 @@ class Mlp:
         out = self._output(out)
         return out[0] if single else out
 
-    def pairs(self, x: np.ndarray, probes) -> np.ndarray:
+    def pairs(self, x: np.ndarray, probes):
         """The outputs for 2-D rows x at theta with theta[sl] + delta and with
-        theta[sl] - delta, per probe (sl, delta) of the iterable `probes`: an
-        array (probes, 2, rows), by the rules in the module docstring.  Each
+        theta[sl] - delta, per probe (sl, delta) of the iterable `probes`, by
+        the rules in the module docstring: yields (rows, outputs) per row
+        block, rows a slice of x and outputs a (probes, 2, block rows) view
+        into one buffer of the pass, which the next block overwrites.  Each
         delta is read once, before the first block."""
         x = np.asarray(x, dtype=float)
         plans = [self._probe(sl, delta) for sl, delta in probes]
@@ -348,13 +346,14 @@ class Mlp:
         needs_product = [k < top or any(p.states is None for _, p in by_layer[k]) for k in range(top + 1)]
         realized = [self._realization(j) for j in range(len(self.layers))] if top >= 0 else None
         biases = [self._bias(j) for j in range(len(self.layers))]
-        out = np.empty((len(plans), 2, len(x), self._widths[-1]))
+        buffer = np.empty((len(plans), 2, self._block_rows + 1, self._widths[-1]))
         with self._pass_buffers(_PAIR_BUFFERS):
             for rows in _row_blocks(len(x), self._block_rows):
+                out = buffer[:, :, : rows.stop - rows.start]
                 h = self._embed(x, rows)
                 for i, p in whole:
                     for s in range(2):
-                        self._run(0, h, (3, 2), out[i, s, rows], p.states[s], p.biases[s])
+                        self._run(0, h, (3, 2), out[i, s], p.states[s], p.biases[s])
                 for k in range(top + 1):
                     layer, product = self.layers[k], None
                     if needs_product[k]:
@@ -364,15 +363,15 @@ class Mlp:
                         d = self._block(3, len(h), self._widths[k + 1])
                         tt_head(directions[k][0][1].direction, self._blocks[2], d)
                     for i, p in others[k]:
-                        self._probe_outputs(k, p, h, product, out[i, :, rows], realized, biases)
+                        self._probe_outputs(k, p, h, product, out[i], realized, biases)
                     if directions[k] or k < top:
                         product += biases[k]
                     for j, (i, p) in enumerate(directions[k]):
-                        self._probe_outputs(k, p, h, product, out[i, :, rows], realized, biases, reuse[k] and j == 0)
+                        self._probe_outputs(k, p, h, product, out[i], realized, biases, reuse[k] and j == 0)
                     if k < top:
                         self._activate(k, product)
                         h = product
-        return self._output(out)
+                yield rows, self._output(out)
 
     def _probe(self, sl: slice, delta: np.ndarray) -> _Probe:
         """What a probe (sl, delta) moves, realized once for the whole pass."""

@@ -350,21 +350,50 @@ def pinn_loss(
     if inputs is None:
         inputs = step_inputs(problem, stein_cfg, batch_seed, step)
     values = np.asarray(solution(inputs.points), dtype=float).reshape(1, -1)
-    total, terms = score(problem, inputs, values)
+    total, terms = score(problem, inputs, [values])
     return float(total[0]), {name: float(value[0]) for name, value in terms.items()}
 
 
-def score(problem: PinnProblem, inputs: StepInputs, values: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The loss of B queries from their (B, rows) solution values at `inputs.points`.
+def score(problem: PinnProblem, inputs: StepInputs, blocks) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The loss of the queries whose solution values at `inputs.points` come
+    as the iterable `blocks` of row blocks, in row order: arrays (..., block
+    rows), with the same leading query axes each, such as the (probes, 2)
+    queries of a ZO step.
 
-    Returns each query's total and its terms, arrays of shape (B,).  One
-    `SteinPlan.combine` call serves every term and query, and a query's
-    values equal a call on its row alone bit for bit (`combine`), so the
-    B = 1 case is `pinn_loss`.
+    Returns each query's total and its terms, arrays of the leading shape.
+    Each center is combined (`SteinPlan.combine`) as soon as all its
+    `plan.n_queries` rows have come, with the other whole centers of its
+    block; the rows of a center not yet whole are copied and held until the
+    next block, so a block may be a buffer its producer overwrites later.
+    `combine` gives each center the same bits in any call, so the estimates
+    of all centers, joined, and the terms summed from them equal a call
+    with one block of all rows bit for bit, which is `pinn_loss`.
     """
+    n = inputs.plan.n_queries
     parts = [(slice(0, len(inputs.residual)), ("value", "first", "second"))]
     parts += [(rows, ("value",)) for _, rows, _ in inputs.data]
-    bundle, *data = inputs.plan.combine(values, parts)
+    got = [[] for _ in parts]  # per part, its estimates from each combine call, in center order
+    held, count, done = [], 0, 0  # the rows not yet combined, how many, and the centers combined
+    for block in blocks:
+        held.append(block)
+        count += block.shape[-1]
+        if count >= n:
+            values = np.concatenate(held, axis=-1) if len(held) > 1 else block
+            cut, hi = count - count % n, done + count // n
+            # the parts among centers done..hi, as slices of those centers
+            live = [(i, slice(max(rows.start, done) - done, min(rows.stop, hi) - done), which)
+                    for i, (rows, which) in enumerate(parts) if rows.start < hi and rows.stop > done]
+            estimates = inputs.plan.combine(values[..., :cut], [(rows, which) for _, rows, which in live])
+            for (i, _, _), part in zip(live, estimates):
+                got[i].append(part)
+            held, count, done = [values[..., cut:]], count - cut, hi
+        held[-1] = held[-1].copy()  # the block's producer may overwrite it
+    if count:
+        raise ValueError(f"the values end inside a center, {count} of its {n} rows")
+    bundle, *data = (
+        {key: np.concatenate([e[key] for e in part], axis=-1 if key == "value" else -2) for key in part[0]}
+        for part in got
+    )
     r = problem.residual(bundle, inputs.residual)
     terms = {"residual": np.mean(r**2, axis=-1)}
     total = terms["residual"]

@@ -325,14 +325,13 @@ class SteinPlan:
         built once for all parts and queries.  Returns one dict per part,
         arrays of shape (..., rows) ('first' and 'second' add a dim axis).
 
-        A query's result on a part equals a call on that query's values of
-        that part's rows alone, bit for bit: the value sum is one BLAS
-        matrix-vector product per query and part (a stacked matmul), as a
-        product over all queries' rows at once would round differently.
-        The chunk rule: a call holds four full-layout (..., P, n) float
-        arrays at once (the scatter, its pair gather, their sum and one
-        estimator's operand), so a caller that bounds its memory by `budget`
-        bytes passes at most `queries_per_call(rows, budget)` queries.
+        Each center's result equals a call on that center's values alone,
+        bit for bit, whatever else the call holds: every sum is a fixed-order
+        `einsum` loop over the n nodes of one center and query, as a BLAS
+        product over several rows at once would round by their position.
+        A call holds four full-layout (..., P, n) float arrays at once (the
+        scatter, its pair gather, their sum and one estimator's operand), so
+        a caller bounds its memory by the centers it passes in one call.
         """
         vals = np.asarray(values, dtype=float)
         lead = vals.shape[:-1]
@@ -346,7 +345,7 @@ class SteinPlan:
             both = v + v_neg
             got: dict[str, np.ndarray] = {}
             if "value" in which:
-                got["value"] = 0.5 * (both @ self.weights)
+                got["value"] = 0.5 * np.einsum("...pn,n->...p", both, self.weights)
             if "first" in which:
                 # (..., P, n) x (n, D) -> (..., P, D)
                 got["first"] = np.einsum("...pn,nd->...pd", v - v_neg, self.c_first)
@@ -355,12 +354,6 @@ class SteinPlan:
                 got["second"] = np.einsum("...pn,nd->...pd", centered, self.c_second)
             out.append(got)
         return out
-
-    def queries_per_call(self, rows: int, budget: int) -> int:
-        """Queries per `combine` call, at least one, whose full-layout arrays
-        fit in `budget` bytes when each query has `rows` values."""
-        per_query = 4 * 8 * (rows // self.n_queries) * len(self.weights)  # four float arrays (`combine`)
-        return max(1, budget // per_query)
 
 
 _PLAN_CACHE: dict[tuple[float, int, int], SteinPlan] = {}

@@ -13,7 +13,6 @@ logs a row's loss is not among them.  All stochastic streams are keyed by
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -167,18 +166,18 @@ def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: 
     shared by every query.  `loss(theta)` runs one plain forward and one
     `pinn_loss`.  `loss.pairs(theta, probes)` gives the values at
     theta[sl] +/- delta for every probe (sl, delta) of the step, as a
-    (probes, 2) array: `model.pairs` passes over the rows, each for as many
-    probes as have outputs that fit in the pass's block buffers
-    (`model.pass_bytes`), at least one, and each pass's outputs scored by
-    `pde.score` in chunks of queries whose Stein combine fits in those
-    buffers too.  So a step holds about what one pass holds, or one probe's
-    outputs and one query's combine if that is more: every probe of a
-    sparse-grid Black-Scholes step (18.7 KB of outputs each) in one pass, a
-    Monte-Carlo one (8.5 MB each at 2,048 samples) one probe per pass.  They
-    equal two plain queries bit for bit, except on a weight-domain weight
-    segment with at most the output layer above it, whose product is split
-    as (P +/- D) + b: there they agree within ~5e-9 relative (the `nets`
-    module docstring; tests/test_reuse.py).
+    (probes, 2) array, from one pass of `model.pairs` over the rows: each
+    row block's outputs of every probe are transformed and handed to
+    `pde.score` as they leave the network, and each center is scored once
+    its rows are all in.  So a step holds the pass's block buffers, the rows
+    of one center not yet whole, and per center a few estimates, never an
+    array of probes x rows: a Monte-Carlo Black-Scholes step (4,097 rows a
+    center at 2,048 samples) peaks at 4.6 MB traced, below the 8.5 MB of one
+    probe's full outputs (tests/test_score.py).  The values equal two plain
+    queries bit for bit, except on a weight-domain weight segment with at
+    most the output layer above it, whose product is split as (P +/- D) + b:
+    there they agree within ~5e-9 relative (the `nets` module docstring;
+    tests/test_reuse.py).
     """
     inputs = step_inputs(problem, stein, seed, step)
 
@@ -186,21 +185,10 @@ def step_loss(model, problem: PinnProblem, stein: SteinConfig, seed: int, step: 
         model.set_flat(theta)
         return pinn_loss(problem.transform(model), problem, stein, seed, step, inputs)[0]
 
-    rows = len(inputs.points)
-    per_pass = max(1, model.pass_bytes // (2 * rows * 8))  # probes per pass, each 2 x rows output floats
-    size = inputs.plan.queries_per_call(rows, model.pass_bytes)
-
     def pairs(theta, probes):
         model.set_flat(theta)
-        probes = iter(probes)
-        totals = []
-        while group := list(itertools.islice(probes, per_pass)):
-            queries = model.pairs(inputs.points, group).reshape(-1, rows)
-            totals += [
-                score(problem, inputs, problem.transform(lambda X, u=queries[i : i + size]: u)(inputs.points))[0]
-                for i in range(0, len(queries), size)
-            ]
-        return np.concatenate(totals).reshape(-1, 2)
+        blocks = model.pairs(inputs.points, probes)
+        return score(problem, inputs, (problem.transform(lambda X: u)(inputs.points[rows]) for rows, u in blocks))[0]
 
     loss.pairs = pairs
     return loss

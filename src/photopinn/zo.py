@@ -12,10 +12,10 @@ evaluation order or worker count.
 
 A loss that offers `pairs(theta, probes)` is asked for every value of a
 step at once: per probe (sl, delta), L(theta with theta[sl] +/- delta), so it
-can share work across all of them (`training.step_loss` runs them in
-block-major passes, `nets.Mlp.pairs`, as many probes a pass as its
-buffers hold outputs for).  A plain callable is queried twice per
-probe, at two probe vectors; both ways count two queries per probe.
+can share work across all of them (`training.step_loss` runs them all in
+one block-major pass, `nets.Mlp.pairs`, and scores each row block as it
+leaves the network).  A plain callable is queried twice per probe, at two
+probe vectors; both ways count two queries per probe.
 """
 
 from __future__ import annotations

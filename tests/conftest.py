@@ -32,3 +32,8 @@ def central_diff_hess_diag(f, x, h=1e-3):
 def scalar_net(net):
     """Adapt a batch net to a scalar-point callable for the FD oracles."""
     return lambda x: float(net(np.asarray(x)[None, :])[0])
+
+
+def pair_outputs(model, x, probes):
+    """`model.pairs` as one (probes, 2, rows) array: a copy of each row block it yields, joined."""
+    return np.concatenate([out.copy() for _, out in model.pairs(x, probes)], axis=-1)

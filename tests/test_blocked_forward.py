@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import pair_outputs
 from photopinn.config import RunConfig
 from photopinn.models import build_model
 from photopinn import nets
@@ -115,7 +116,7 @@ def test_pairs_equal_one_gemm_per_layer(domain, tensorized, rows):
     segments = model.segments()
     probes = [(slice(start, stop), 0.01 * rng.standard_normal(stop - start)) for _, start, stop in segments]
     model.set_flat(theta)
-    for (name, _, _), (sl, delta), got in zip(segments, probes, model.pairs(x, probes), strict=True):
+    for (name, _, _), (sl, delta), got in zip(segments, probes, pair_outputs(model, x, probes), strict=True):
         k = int(name[len("layer") : name.index(".")])
         split = domain == "weight" and not name.endswith(".bias") and k >= last - 1
         for value, op in zip(got, (np.add, np.subtract)):
@@ -168,7 +169,7 @@ def test_global_probes_keep_no_full_size_hidden_activation(domain):
         model.set_flat(theta)
         tracemalloc.start()
         try:
-            got = model.pairs(x, [(slice(0, len(theta)), delta)])[0]
+            got = pair_outputs(model, x, [(slice(0, len(theta)), delta)])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -218,7 +219,8 @@ def test_a_step_applies_the_layers_below_each_probe_once(domain, tensorized, app
     counts = _count_applies(model, monkeypatch)
     x = np.random.default_rng(0).uniform([0.0, 0.0], [200.0, 1.0], size=(2 * B + 146, 2))
     rng = np.random.default_rng(1)
-    model.pairs(x, [(slice(start, stop), 0.01 * rng.standard_normal(stop - start)) for _, start, stop in model.segments()])
+    probes = [(slice(start, stop), 0.01 * rng.standard_normal(stop - start)) for _, start, stop in model.segments()]
+    pair_outputs(model, x, probes)
     assert [counts[id(layer)] for layer in model.layers] == [3 * n for n in applies]  # three row blocks
 
 
@@ -239,7 +241,7 @@ def test_one_head_core_probe_per_layer_and_block_reads_the_base_T(heads, monkeyp
     reads = []
     monkeypatch.setattr(nets, "tt_head", lambda *args: reads.append(args) or tt_head(*args))
     x = np.random.default_rng(0).uniform([0.0, 0.0], [200.0, 1.0], size=(2 * B + 146, 2))
-    got = model.pairs(x, probes)
+    got = pair_outputs(model, x, probes)
     assert (len(reads), counts[id(model.layers[1])]) == (3, 3 * heads)  # three row blocks
     for value in got[2:]:
         assert np.array_equal(value, got[1])
@@ -257,7 +259,7 @@ def test_global_probes_run_no_base_forward(domain, monkeypatch):
     x = np.random.default_rng(0).uniform([0.0, 0.0], [200.0, 1.0], size=(2 * B + 146, 2))
     rng = np.random.default_rng(1)
     n = model.n_params
-    model.pairs(x, [(slice(0, n), 0.01 * rng.standard_normal(n)) for _ in range(2)])
+    pair_outputs(model, x, [(slice(0, n), 0.01 * rng.standard_normal(n)) for _ in range(2)])
     assert [counts[id(layer)] for layer in model.layers] == [2 * 2 * 3] * len(model.layers)
 
 
@@ -276,7 +278,7 @@ def test_pairs_under_a_tt_output_layer_equal_fresh_forwards():
         for name, start, stop in model.segments()
         if name.startswith("layer0.")
     ]
-    got = model.pairs(x, probes)
+    got = pair_outputs(model, x, probes)
     for (sl, delta), values in zip(probes, got, strict=True):
         for value, op in zip(values, (np.add, np.subtract)):
             moved = theta.copy()

@@ -96,3 +96,16 @@ def test_every_field_overrides_through_the_environment(tmp_path, monkeypatch):
 def test_invalid_optimizer_and_run_values_are_config_errors(field, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("loss_level", 4, "loss.level must be 1|2|3, got 4"),  # the sparse grids stop at level 3
+        ("loss_samples", 0, "loss.samples must be >= 1, got 0"),
+        ("problem_sigma", -1.0, "problem.sigma must be >= 0, got -1.0"),
+    ],
+)
+def test_invalid_stein_values_name_their_key(field, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig(**{field: value})

@@ -4,8 +4,10 @@ The golden terms below are `float.hex` values recorded when the initial and
 boundary terms still had separate code paths; the shared path must give
 them bit for bit.  They evaluate a fixed polynomial, not a network, so they
 pin the batch, the Stein plan, the data targets and the weighted sum alone.
-Rounding of the BLAS dot products in `SteinPlan.combine` enters them, so a
-BLAS with another summation order may move their last bits.
+Every sum of `SteinPlan.combine` is a fixed-order `einsum` loop over one
+center's nodes, so their bits depend on no BLAS; they were re-recorded,
+within 2 ulp, when the value sum moved from a BLAS matrix-vector product
+to that loop.
 """
 
 import numpy as np
@@ -18,24 +20,24 @@ from photopinn.training import config_problem, config_stein
 
 GOLDEN = {
     ("black-scholes", 0): {
-        "residual": "0x1.f0107389bb1c1p+17",
+        "residual": "0x1.f0107389bb1c3p+17",
         "initial": "0x1.75fadd0958ab7p+24",
-        "boundary": "0x1.8306650aaf5d7p+25",
-        "total": "0x1.1ff9f20172b72p+26",
+        "boundary": "0x1.8306650aaf5d8p+25",
+        "total": "0x1.1ff9f20172b73p+26",
     },
     ("black-scholes", 5): {
         "residual": "0x1.e62be22c2ea9fp+17",
         "initial": "0x1.7203cc7e48e85p+24",
-        "boundary": "0x1.82a7177f58813p+25",
+        "boundary": "0x1.82a7177f58814p+25",
         "total": "0x1.1ec794d054920p+26",
     },
     ("hjb", 0): {"residual": "0x1.4aab1cece5c9dp+7", "total": "0x1.4aab1cece5c9dp+7"},
     ("hjb", 5): {"residual": "0x1.49e2755dc35c6p+7", "total": "0x1.49e2755dc35c6p+7"},
     ("burgers", 0): {
-        "residual": "0x1.7fe1ef58a231bp+3",
+        "residual": "0x1.7fe1ef58a231ap+3",
         "initial": "0x1.f63f9833bbd40p+0",
         "boundary": "0x1.1d976b9447b66p+2",
-        "total": "0x1.26bacc149ec3bp+4",
+        "total": "0x1.26bacc149ec3ap+4",
     },
     ("burgers", 5): {
         "residual": "0x1.8d0b229ecf7ecp+3",

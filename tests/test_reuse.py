@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import pair_outputs
 from photopinn.config import RunConfig
 from photopinn.models import build_model
 from photopinn.nets import DenseLayer, Mlp, TTLayer
@@ -193,7 +194,7 @@ def test_a_split_pair_is_exact_on_integers():
     segments = [(name, slice(start, stop)) for name, start, stop in model.segments() if name != "layer1.weight"]
     probes = [(sl, rng.integers(-2, 3, sl.stop - sl.start).astype(float)) for _, sl in segments]
     model.set_flat(theta)
-    for (name, _), (sl, delta), got in zip(segments, probes, model.pairs(x, probes), strict=True):
+    for (name, _), (sl, delta), got in zip(segments, probes, pair_outputs(model, x, probes), strict=True):
         start, stop = sl.start, sl.stop
         for value, op in zip(got, (np.add, np.subtract)):
             moved = theta.copy()
@@ -264,11 +265,11 @@ def test_writing_into_the_flat_vector_reaches_the_next_forward(rng):
     spans = {name: slice(start, stop) for name, start, stop in model.segments()}
     probe, delta = spans["layer2.bias"], np.array([0.01])
     model.set_flat(theta)
-    before = model.pairs(x, [(probe, delta)])[0]
+    before = pair_outputs(model, x, [(probe, delta)])[0]
     for segment in ("layer0.weight", "layer1.core0"):
         theta[spans[segment]] += 0.1
         model.set_flat(theta)
-        after = model.pairs(x, [(probe, delta)])[0]
+        after = pair_outputs(model, x, [(probe, delta)])[0]
         for value, op in zip(after, (np.add, np.subtract)):
             moved = theta.copy()
             moved[probe] = op(theta[probe], delta)

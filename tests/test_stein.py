@@ -189,7 +189,7 @@ def _combine_oracle(offsets, weights, sigma, f):
     c_first = weights[:, None] * offsets / (2.0 * sigma**2)
     c_second = weights[:, None] * (offsets**2 - sigma**2) / (2.0 * sigma**4)
     return {
-        "value": 0.5 * np.tensordot(f + f_neg, weights, axes=(1, 0)),
+        "value": 0.5 * np.einsum("...pn,n->...p", f + f_neg, weights),
         "first": np.einsum("pn...,nd->pd...", f - f_neg, c_first),
         "second": np.einsum("pn...,nd->pd...", f + f_neg - 2.0 * f[:, center : center + 1], c_second),
     }

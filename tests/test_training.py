@@ -2,14 +2,16 @@
 two runs of one config log the same rows and save the same theta."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from photopinn.config import RunConfig
+from photopinn.config import RunConfig, load_config
 from photopinn.models import build_model
 from photopinn import training
 from photopinn.pde import black_scholes, get_problem, problems
+from photopinn.reproduce import reproduce_table
 from photopinn.training import evaluate_model, load_model, train
 
 
@@ -129,3 +131,18 @@ def test_the_holdout_is_evaluated_once_per_theta(target, steps, tmp_path, monkey
         "final_rel_l2": rel,
         "zo_queries": 2 * 8 * steps,
     }
+
+
+def test_the_committed_table2_bs_configs_feed_reproduce(tmp_path, monkeypatch):
+    """configs/table2-bs/{tt,standard}.cfg write the run directories that
+    `reproduce --table table2-bs` reads: one iteration of each, run from a
+    temporary directory, gives the rel_l2 of its first two rows."""
+    configs = Path(__file__).resolve().parents[1] / "configs" / "table2-bs"
+    monkeypatch.chdir(tmp_path)
+    got = []
+    for variant in ("tt", "standard"):
+        cfg = load_config(configs / f"{variant}.cfg", apply_env=False, opt_iterations=1)
+        assert Path(cfg.run_out_dir) == Path("artifacts/table2-bs") / f"bs_zo_{variant}"
+        got.append(float(f"{train(cfg).mean_rel_l2:.6e}"))  # report.txt keeps 7 digits
+    rows, _ = reproduce_table("table2-bs", str(tmp_path / "artifacts" / "table2-bs"))
+    assert [rows[0][1], rows[1][1]] == got
