@@ -30,7 +30,8 @@ _LOWEST = {
     "problem.sigma": 0, "problem.lambda0": 0, "problem.lambdab": 0,
     "problem.residual_points": 0, "problem.initial_points": 0, "problem.boundary_points": 0,
     "loss.samples": 1, "zo.queries": 1, "opt.iterations": 0,
-    "noise.bits": 0, "noise.gamma_std": 0, "run.log_every": 1, "run.eval_every": 0,
+    "noise.bits": 0, "noise.gamma_std": 0, "noise.seed": 0,
+    "run.seed": 0, "run.log_every": 1, "run.eval_every": 0,
 }
 
 
@@ -87,6 +88,8 @@ class RunConfig:
             value = getattr(self, key.replace(".", "_"))
             if not value >= lowest:
                 raise ConfigError(f"{key} must be >= {lowest}, got {value!r}")
+        if min(self.run_seeds, default=0) < 0:  # NumPy seeds must be non-negative
+            raise ConfigError(f"run.seeds must all be >= 0, got {self.run_seeds!r}")
         if self.domain not in ("weight", "phase"):
             raise ConfigError(f"domain must be weight|phase, got {self.domain!r}")
         if self.loss_mode not in ("sg", "se"):

@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 HOLDOUT_SEED = 90210  # fixed seed for the HJB random hold-out cloud
+# Rows per block a plain query hands `score`, so its combines never hold more
+# than a few arrays of this many floats (a Monte-Carlo Black-Scholes query
+# has 532,610 rows).
+_SCORE_ROWS = 1 << 14
 
 
 class OracleNotBuilt(RuntimeError):
@@ -254,7 +258,8 @@ def holdout_reference(problem: PinnProblem) -> tuple[np.ndarray, np.ndarray]:
     """The hold-out points and the reference values on them.
 
     A closed-form reference (Black-Scholes, HJB) is computed once per process
-    and problem name, like `quadrature.cached_grid`, and returned read-only;
+    and problem name, like a sparse-grid Stein plan (`quadrature.stein_plan`),
+    and returned read-only;
     the gridded Burgers and Darcy references come from oracle files and are
     read anew.  The points are rebuilt on every call: they cost a fifth of
     the Black-Scholes reference, and kept they would hold 325 kB through
@@ -345,12 +350,16 @@ def pinn_loss(
     `solution` is the (transformed) solution network mapping (rows,
     input_dim) to (rows,) values; all derivatives go through the smoothing estimators.
     `inputs` are the step's inputs from `step_inputs`, built here when not
-    given; every query of a ZO step shares them.
+    given; every query of a ZO step shares them.  The values go to `score`
+    in slices of `_SCORE_ROWS` rows, which bound what its combines hold: a
+    default Monte-Carlo Black-Scholes query (532,610 rows) peaks below twice
+    its values' bytes (tests/test_score.py).
     """
     if inputs is None:
         inputs = step_inputs(problem, stein_cfg, batch_seed, step)
     values = np.asarray(solution(inputs.points), dtype=float).reshape(1, -1)
-    total, terms = score(problem, inputs, [values])
+    slices = (values[:, lo : lo + _SCORE_ROWS] for lo in range(0, values.shape[-1], _SCORE_ROWS))
+    total, terms = score(problem, inputs, slices)
     return float(total[0]), {name: float(value[0]) for name, value in terms.items()}
 
 
@@ -361,44 +370,38 @@ def score(problem: PinnProblem, inputs: StepInputs, blocks) -> tuple[np.ndarray,
     queries of a ZO step.
 
     Returns each query's total and its terms, arrays of the leading shape.
-    Each center is combined (`SteinPlan.combine`) as soon as all its
-    `plan.n_queries` rows have come, with the other whole centers of its
-    block; the rows of a center not yet whole are copied and held until the
-    next block, so a block may be a buffer its producer overwrites later.
-    `combine` gives each center the same bits in any call, so the estimates
-    of all centers, joined, and the terms summed from them equal a call
-    with one block of all rows bit for bit, which is `pinn_loss`.
+    Each center is combined (`SteinPlan.combine`, every estimator) as soon
+    as all its `plan.n_queries` rows have come, with the other whole centers
+    of its block; the rows of a center not yet whole are copied and held
+    until the next block, so a block may be a buffer its producer
+    overwrites later.  `combine` gives each center the same bits in any
+    call, so the estimates of all centers, joined, and the terms taken from
+    them (the residual centers, then each data term's rows) equal a call
+    with one block of all rows bit for bit.
     """
     n = inputs.plan.n_queries
-    parts = [(slice(0, len(inputs.residual)), ("value", "first", "second"))]
-    parts += [(rows, ("value",)) for _, rows, _ in inputs.data]
-    got = [[] for _ in parts]  # per part, its estimates from each combine call, in center order
-    held, count, done = [], 0, 0  # the rows not yet combined, how many, and the centers combined
+    got = []  # the estimates of each combine call, in center order
+    held, count = [], 0  # the rows not yet combined, and how many
     for block in blocks:
         held.append(block)
         count += block.shape[-1]
         if count >= n:
             values = np.concatenate(held, axis=-1) if len(held) > 1 else block
-            cut, hi = count - count % n, done + count // n
-            # the parts among centers done..hi, as slices of those centers
-            live = [(i, slice(max(rows.start, done) - done, min(rows.stop, hi) - done), which)
-                    for i, (rows, which) in enumerate(parts) if rows.start < hi and rows.stop > done]
-            estimates = inputs.plan.combine(values[..., :cut], [(rows, which) for _, rows, which in live])
-            for (i, _, _), part in zip(live, estimates):
-                got[i].append(part)
-            held, count, done = [values[..., cut:]], count - cut, hi
+            cut = count - count % n
+            got.append(inputs.plan.combine(values[..., :cut]))
+            held, count = [values[..., cut:]], count - cut
         held[-1] = held[-1].copy()  # the block's producer may overwrite it
     if count:
         raise ValueError(f"the values end inside a center, {count} of its {n} rows")
-    bundle, *data = (
-        {key: np.concatenate([e[key] for e in part], axis=-1 if key == "value" else -2) for key in part[0]}
-        for part in got
-    )
+    value = np.concatenate([e["value"] for e in got], axis=-1)
+    residual = slice(0, len(inputs.residual))
+    bundle = {key: np.concatenate([e[key] for e in got], axis=-2)[..., residual, :] for key in ("first", "second")}
+    bundle["value"] = value[..., residual]
     r = problem.residual(bundle, inputs.residual)
     terms = {"residual": np.mean(r**2, axis=-1)}
     total = terms["residual"]
-    for (term, _, target), u in zip(inputs.data, data):
-        terms[term.name] = np.mean((u["value"] - target) ** 2, axis=-1)
+    for term, rows, target in inputs.data:
+        terms[term.name] = np.mean((value[..., rows] - target) ** 2, axis=-1)
         total = total + term.weight * terms[term.name]
     terms["total"] = total
     return total, terms

@@ -32,7 +32,7 @@ Defaults correspond to the 128-wide Black-Scholes workload: 130 sample
 points per epoch, 13 smoothing queries per point, 2 gradient-probe loss
 evaluations, 10,000 epochs.  N_loss = 13 is the paper's count of level-3
 sparse-grid nodes at D = 2; the simulator queries only 9 of them per point,
-since the 4 axis nodes +-B*e_i carry weight 0 (see `quadrature.SteinPlan`),
+since the 4 axis nodes +-B*e_i carry weight 0 (`quadrature.sparse_grid_nodes`),
 a saving the chip could take as well.  Footprints cover the photonic devices
 only.
 

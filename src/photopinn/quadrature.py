@@ -27,14 +27,16 @@ D-dimensional grids come from the Smolyak combination
 with coincident nodes merged and their signed weights summed.  At level 3 the
 merged grid has exactly 2*D^2 + 2*D + 1 nodes.
 
-The smoothed-model estimators evaluate a network f at x + sigma*z over the
-grid (or over antithetic Monte-Carlo pairs) and combine the values into the
-smoothed forward value, its gradient and the diagonal of its Hessian.  The
-node set is symmetric, so f(x - sigma*z_j) reuses the evaluation at the
-negated node.  Only nodes whose values enter a sum are queried: the weighted
-nodes, their negations and the center.  At level 3 the 2*D axis nodes +-B*e_i
-carry weight 0, so 2*D^2 + 1 of the grid's nodes are queried (9 of 13 at
-D = 2); `SteinPlan` documents the rule.
+The smoothed-model estimators evaluate a network f at x + sigma*z over a
+symmetric node set with one zero row, the center, and combine the values into
+the smoothed forward value, its gradient and the diagonal of its Hessian;
+f(x - sigma*z_j) reuses the evaluation at the negated node.  Each Stein mode
+has one node-set function, and a `SteinPlan` is the set it returns: the
+grid's nonzero-weight nodes plus the center (`sparse_grid_nodes`), or the
+antithetic Monte-Carlo pairs plus the center (`monte_carlo_nodes`).  At
+level 3 the 2*D axis nodes +-B*e_i carry weight 0, so a query evaluates
+2*D^2 + 1 of the grid's nodes (9 of 13 at D = 2); `build_sparse_grid` keeps
+every merged node, since the published node counts count them all.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, sqrt
-from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +57,8 @@ __all__ = [
     "rule_1d",
     "build_sparse_grid",
     "save_grid",
+    "sparse_grid_nodes",
+    "monte_carlo_nodes",
     "SteinPlan",
     "stein_plan",
 ]
@@ -189,16 +192,6 @@ def build_sparse_grid(dim: int, level: int) -> SparseGrid:
     return SparseGrid(dim=dim, level=level, nodes=nodes, weights=weights)
 
 
-_GRID_CACHE: dict[tuple[int, int], SparseGrid] = {}
-
-
-def cached_grid(dim: int, level: int) -> SparseGrid:
-    key = (dim, level)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = build_sparse_grid(dim, level)
-    return _GRID_CACHE[key]
-
-
 def save_grid(grid: SparseGrid, path) -> None:
     """Plain-text dump: '#' header with (dim, level, count), then one node+weight per line."""
     with open(path, "w") as fh:
@@ -232,7 +225,7 @@ class SteinConfig:
     def __post_init__(self):
         if self.sigma <= 0:
             raise QuadratureError(f"sigma must be > 0, got {self.sigma}")
-        if self.mode not in ("sparse-grid", "monte-carlo"):
+        if self.mode not in _NODE_SETS:
             raise QuadratureError(f"unknown mode {self.mode!r}")
         if self.mode == "sparse-grid" and self.level not in (1, 2, 3):
             raise UnsupportedLevelError(f"level {self.level} not supported")
@@ -240,40 +233,46 @@ class SteinConfig:
             raise QuadratureError("samples must be >= 1")
 
 
-class SteinPlan:
-    """Precomputed offsets and combination weights for one estimator call.
+def sparse_grid_nodes(cfg: SteinConfig, dim: int, call_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, weights) of a sparse-grid query: the level-`cfg.level`
+    grid's nonzero-weight nodes and its center, in grid order, scaled by
+    sigma.  Grid weights are symmetric, so the set is too."""
+    grid = build_sparse_grid(dim, cfg.level)
+    keep = (grid.weights != 0.0) | np.all(grid.nodes == 0.0, axis=1)
+    return grid.nodes[keep] * cfg.sigma, grid.weights[keep]
 
-    ``offsets`` has shape (n, dim), the full node layout: the merged grid
-    scaled by sigma, or the Monte-Carlo pairs then one zero row.  It always
-    contains exactly one zero row, ``center``; ``pair[j]`` indexes the row
-    holding the negated offset.  With f_j = f(x + offset_j):
+
+def monte_carlo_nodes(cfg: SteinConfig, dim: int, call_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, weights) of Monte-Carlo query `call_index`: `cfg.samples`
+    Gaussian offsets drawn from (seed, call_index), their negations and the
+    center; each drawn offset weighs 1/samples, its negation and the center 0."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, call_index)))
+    half = cfg.sigma * rng.standard_normal((cfg.samples, dim))
+    offsets = np.concatenate([half, -half, np.zeros((1, dim))])
+    return offsets, np.concatenate([np.full(cfg.samples, 1.0 / cfg.samples), np.zeros(cfg.samples + 1)])
+
+
+_NODE_SETS = {"sparse-grid": sparse_grid_nodes, "monte-carlo": monte_carlo_nodes}
+
+
+class SteinPlan:
+    """The node set one estimator call evaluates, and its combination tables.
+
+    ``offsets`` (n, dim) and ``weights`` (n,) come from the node-set
+    function of ``cfg.mode``.  The set is symmetric with exactly one zero
+    row, ``center``; ``pair[j]`` indexes the row holding the negated offset.
+    With f_j = f(x + offset_j):
 
         u(x)      = sum_j w_j * (f_j + f_pair(j)) / 2
         du_i(x)   = sum_j w_j * offset_ji / (2 sigma^2) * (f_j - f_pair(j))
         d2u_ii(x) = sum_j w_j * (offset_ji^2 - sigma^2) / (2 sigma^4) * (f_j + f_pair(j) - 2 f_0)
 
-    A node's value enters these sums only if its weight is nonzero, it is the
-    pair of such a node, or it is the center.  Only those nodes (``queried``,
-    in layout order) are evaluated: 9 of 13 at D = 2 for the level-3 grid,
-    whose outer abscissae carry weight 0.  ``combine`` scatters the queried
-    values into a zero-filled array of the full layout and runs the sums over
-    all n nodes in layout order, so for the same node values every bit of the
-    result equals the sums over a forward of every node.
+    Every node is queried, so a center takes ``n_queries`` = n rows.
     """
 
     def __init__(self, cfg: SteinConfig, dim: int, call_index: int = 0):
+        offsets, weights = _NODE_SETS[cfg.mode](cfg, dim, call_index)
         sigma = cfg.sigma
-        if cfg.mode == "sparse-grid":
-            grid = cached_grid(dim, cfg.level)
-            offsets = grid.nodes * sigma
-            weights = grid.weights.copy()
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, call_index)))
-            half = sigma * rng.standard_normal((cfg.samples, dim))
-            offsets = np.concatenate([half, -half, np.zeros((1, dim))])
-            weights = np.concatenate(
-                [np.full(cfg.samples, 1.0 / cfg.samples), np.zeros(cfg.samples + 1)]
-            )
         self.dim = dim
         self.sigma = sigma
         self.offsets = offsets
@@ -283,13 +282,10 @@ class SteinPlan:
         if len(center) != 1:
             raise QuadratureError("plan requires exactly one zero offset")
         self.center = int(center[0])
-        keep = (weights != 0.0) | (weights[self.pair] != 0.0)
-        keep[self.center] = True
-        self.queried = np.flatnonzero(keep)
         # combination coefficient tables
         self.c_first = weights[:, None] * offsets / (2.0 * sigma**2)
         self.c_second = weights[:, None] * (offsets**2 - sigma**2) / (2.0 * sigma**4)
-        for table in (self.offsets, self.weights, self.pair, self.queried, self.c_first, self.c_second):
+        for table in (self.offsets, self.weights, self.pair, self.c_first, self.c_second):
             table.flags.writeable = False  # a sparse-grid plan is shared by every step (`stein_plan`)
 
     @staticmethod
@@ -306,54 +302,40 @@ class SteinPlan:
 
     @property
     def n_queries(self) -> int:
-        """Model evaluations per center: the queried nodes."""
-        return len(self.queried)
+        """Model evaluations per center: the nodes of the set."""
+        return len(self.weights)
 
     def eval_points(self, x: np.ndarray) -> np.ndarray:
-        """Queried evaluation points for a (P, dim) batch of centers: shape (P*n_queries, dim)."""
+        """Evaluation points for a (P, dim) batch of centers: shape (P*n_queries, dim)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (x[:, None, :] + self.offsets[None, self.queried, :]).reshape(-1, self.dim)
+        return (x[:, None, :] + self.offsets[None, :, :]).reshape(-1, self.dim)
 
-    def combine(self, values: np.ndarray, parts: Sequence[tuple[slice, Sequence[str]]]) -> list[dict[str, np.ndarray]]:
-        """Combine model outputs at eval_points into the requested estimators.
+    def combine(self, values: np.ndarray) -> dict[str, np.ndarray]:
+        """The estimators of every center from the model outputs at eval_points.
 
         ``values`` has shape (..., P*n_queries): the outputs at eval_points
         of any number of queries along leading axes, such as the (B, rows)
-        outputs of B loss queries.  ``parts`` is a sequence of (rows, which):
-        a slice of the P centers and the estimators wanted on them ('value',
-        'first', 'second').  The full-layout scatter and its pair gather are
-        built once for all parts and queries.  Returns one dict per part,
-        arrays of shape (..., rows) ('first' and 'second' add a dim axis).
+        outputs of B loss queries.  Returns 'value' (..., P), and 'first'
+        and 'second' (..., P, dim).
 
         Each center's result equals a call on that center's values alone,
         bit for bit, whatever else the call holds: every sum is a fixed-order
         `einsum` loop over the n nodes of one center and query, as a BLAS
         product over several rows at once would round by their position.
-        A call holds four full-layout (..., P, n) float arrays at once (the
-        scatter, its pair gather, their sum and one estimator's operand), so
-        a caller bounds its memory by the centers it passes in one call.
+        Beside the values, a call holds three (..., P, n) float arrays at
+        once (the pair gather, their sum and one estimator's operand), so a
+        caller bounds its memory by the centers it passes in one call.
         """
-        vals = np.asarray(values, dtype=float)
-        lead = vals.shape[:-1]
-        queried = vals.reshape(*lead, -1, self.n_queries)
-        v_all = np.zeros((*queried.shape[:-1], len(self.weights)))
-        v_all[..., self.queried] = queried
-        v_neg_all = v_all[..., self.pair]
-        out = []
-        for rows, which in parts:
-            v, v_neg = v_all[..., rows, :], v_neg_all[..., rows, :]
-            both = v + v_neg
-            got: dict[str, np.ndarray] = {}
-            if "value" in which:
-                got["value"] = 0.5 * np.einsum("...pn,n->...p", both, self.weights)
-            if "first" in which:
-                # (..., P, n) x (n, D) -> (..., P, D)
-                got["first"] = np.einsum("...pn,nd->...pd", v - v_neg, self.c_first)
-            if "second" in which:
-                centered = both - 2.0 * v[..., self.center : self.center + 1]
-                got["second"] = np.einsum("...pn,nd->...pd", centered, self.c_second)
-            out.append(got)
-        return out
+        v = np.asarray(values, dtype=float)
+        v = v.reshape(*v.shape[:-1], -1, self.n_queries)
+        v_neg = v[..., self.pair]
+        both = v + v_neg
+        return {
+            "value": 0.5 * np.einsum("...pn,n->...p", both, self.weights),
+            # (..., P, n) x (n, D) -> (..., P, D)
+            "first": np.einsum("...pn,nd->...pd", v - v_neg, self.c_first),
+            "second": np.einsum("...pn,nd->...pd", both - 2.0 * v[..., self.center : self.center + 1], self.c_second),
+        }
 
 
 _PLAN_CACHE: dict[tuple[float, int, int], SteinPlan] = {}
@@ -362,7 +344,7 @@ _PLAN_CACHE: dict[tuple[float, int, int], SteinPlan] = {}
 def stein_plan(cfg: SteinConfig, dim: int, call_index: int = 0) -> SteinPlan:
     """The plan of estimator call `call_index`.  A sparse-grid plan depends
     on (sigma, level, dim) alone, so it is built once per process and every
-    call shares it (building one takes 1.15 ms at D = 21); a
+    call shares it (building one, grid included, takes ~0.1 s at D = 21); a
     Monte-Carlo plan draws its offsets from (seed, call_index), a new plan
     per call."""
     if cfg.mode != "sparse-grid":

@@ -117,6 +117,9 @@ def test_train_with_invalid_zo_or_log_value_exits_2_before_writing(key, raw, mes
         ("problem.margin", "0.7", "problem.margin must be in [0, 0.5), got 0.7"),
         ("problem.margin", "0.5", "problem.margin must be in [0, 0.5), got 0.5"),
         ("problem.margin", "-0.1", "problem.margin must be in [0, 0.5), got -0.1"),
+        ("run.seed", "-1", "run.seed must be >= 0, got -1"),
+        ("run.seeds", "1, -2", "run.seeds must all be >= 0, got (1, -2)"),
+        ("noise.seed", "-3", "noise.seed must be >= 0, got -3"),
     ],
     ids=[
         "noise.bits",
@@ -131,6 +134,9 @@ def test_train_with_invalid_zo_or_log_value_exits_2_before_writing(key, raw, mes
         "problem.margin-above-half",
         "problem.margin-half",
         "problem.margin-negative",
+        "run.seed",
+        "run.seeds",
+        "noise.seed",
     ],
 )
 def test_train_with_invalid_noise_or_point_count_exits_2_before_writing(key, raw, message, tmp_path, capsys):

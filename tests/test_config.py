@@ -91,6 +91,9 @@ def test_every_field_overrides_through_the_environment(tmp_path, monkeypatch):
         ("opt_eps", -1e-8, "opt.eps must be > 0, got -1e-08"),
         ("opt_iterations", -3, "opt.iterations must be >= 0, got -3"),  # would run no step and exit 0
         ("run_eval_every", -1, "run.eval_every must be >= 0, got -1"),  # would evaluate every step
+        ("run_seed", -1, "run.seed must be >= 0, got -1"),  # NumPy seeds must be non-negative
+        ("run_seeds", (1, -2), "run.seeds must all be >= 0, got (1, -2)"),  # seed 1 would train before -2 failed
+        ("noise_seed", -3, "noise.seed must be >= 0, got -3"),
     ],
 )
 def test_invalid_optimizer_and_run_values_are_config_errors(field, value, message):

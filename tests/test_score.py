@@ -86,3 +86,28 @@ def test_a_monte_carlo_step_holds_less_than_one_probes_outputs():
     finally:
         tracemalloc.stop()
     assert peak < 2 * rows * 8, f"{peak / 1e6:.2f} MB"
+
+
+def test_a_monte_carlo_logging_query_holds_less_than_twice_its_values():
+    """The plain query of the same step, `loss(theta)`, has one forward's
+    (rows,) values and hands them to `pde.score` in fixed-size slices, so
+    its combines never hold arrays of all 532,610 rows: traced with the loss
+    already built, it peaks below 2 x rows floats.  The slices keep the
+    loss's bits: it equals one `score` call on all rows."""
+    cfg = RunConfig(loss_mode="se")
+    problem = config_problem(cfg)
+    model = build_run_model(cfg, SEED)
+    stein = config_stein(cfg, problem, SEED)
+    loss = step_loss(model, problem, stein, SEED, STEP)
+    theta = model.get_flat()
+    inputs = step_inputs(problem, stein, SEED, STEP)
+    rows = len(inputs.points)
+    tracemalloc.start()
+    try:
+        got = loss(theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rows * 8, f"{peak / 1e6:.2f} MB"
+    totals, _ = score(problem, inputs, [problem.transform(model)(inputs.points)[None]])
+    assert got.hex() == totals[0].hex()

@@ -6,7 +6,7 @@ import pytest
 from photopinn.config import RunConfig
 from photopinn.nets import DenseLayer, TensorizedMlp
 from photopinn.pde import pinn_loss
-from photopinn.quadrature import SteinConfig, SteinPlan, build_sparse_grid
+from photopinn.quadrature import SteinConfig, SteinPlan, build_sparse_grid, sparse_grid_nodes
 from photopinn.training import config_problem, config_stein
 
 from conftest import central_diff_grad, central_diff_hess_diag, scalar_net
@@ -20,23 +20,22 @@ def make_tanh_mlp(dim, width, seed):
     return TensorizedMlp(layers, weights, activation="tanh")
 
 
-def estimate(net, x, cfg, which, call_index=0):
+def estimate(net, x, cfg, call_index=0):
     """Estimators at one center x, through SteinPlan as the loss computes them."""
     plan = SteinPlan(cfg, len(x), call_index)
-    (out,) = plan.combine(net(plan.eval_points(x)), [(slice(None), which)])
-    return {k: v[0] for k, v in out.items()}
+    return {k: v[0] for k, v in plan.combine(net(plan.eval_points(x))).items()}
 
 
 def smoothed(net, x, cfg):
-    return estimate(net, x, cfg, ("value",))["value"]
+    return estimate(net, x, cfg)["value"]
 
 
 def first(net, x, cfg, call_index=0):
-    return estimate(net, x, cfg, ("first",), call_index)["first"]
+    return estimate(net, x, cfg, call_index)["first"]
 
 
 def second(net, x, cfg):
-    return estimate(net, x, cfg, ("second",))["second"]
+    return estimate(net, x, cfg)["second"]
 
 
 def test_smoothed_forward_linear_exact():
@@ -169,6 +168,26 @@ def test_plan_queries_the_weighted_nodes_their_pairs_and_the_center(dim, level3)
         assert SteinPlan(SteinConfig(sigma=0.1, level=level), dim).n_queries == len(build_sparse_grid(dim, level))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 21])
+def test_sparse_grid_node_set_is_a_symmetric_degree5_gaussian_rule(dim):
+    """Closed-form Gaussian moments as the oracle: E[(a.z)^k] = (k-1)!! for
+    even k and 0 for odd k, for unit a.  The error of the rule on (a.z)^k
+    is a polynomial in a, zero for every a only if every degree-k monomial
+    is exact, so random directions check them all."""
+    nodes, weights = sparse_grid_nodes(SteinConfig(sigma=1.0, level=3), dim)
+    assert np.sum(np.all(nodes == 0.0, axis=1)) == 1
+    table = {tuple(n + 0.0): w for n, w in zip(nodes, weights)}
+    assert len(table) == len(nodes)
+    assert all(table[tuple(-n + 0.0)] == w for n, w in zip(nodes, weights))
+    assert abs(weights.sum() - 1.0) < 1e-12
+    rng = np.random.default_rng(dim)
+    directions = np.vstack([np.eye(dim), rng.standard_normal((20, dim))])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    projections = nodes @ directions.T
+    for k, moment in enumerate([1.0, 0.0, 1.0, 0.0, 3.0, 0.0]):
+        assert np.allclose(weights @ projections**k, moment, rtol=0, atol=1e-10), k
+
+
 def _full_layout(cfg, dim, call_index):
     """Offsets and weights of every node, rebuilt from the grid or the documented Monte-Carlo draw."""
     if cfg.mode == "sparse-grid":
@@ -181,14 +200,19 @@ def _full_layout(cfg, dim, call_index):
 
 
 def _combine_oracle(offsets, weights, sigma, f):
-    """The documented estimator formulas, summed over every node of the layout; f is (P, n)."""
+    """The documented estimator formulas, summed over every node of the
+    layout; f is (P, n).  Also returns the nodes whose values enter a sum
+    (a nonzero-weight node, its pair, the center) and each center's
+    sum sum_j |w_j (f_j + f_pair(j))| / 2 of the value's terms."""
     keys = [tuple(o + 0.0) for o in offsets]
     pair = np.array([keys.index(tuple(-o + 0.0)) for o in offsets])
     center = keys.index((0.0,) * offsets.shape[1])
     f_neg = f[:, pair]
     c_first = weights[:, None] * offsets / (2.0 * sigma**2)
     c_second = weights[:, None] * (offsets**2 - sigma**2) / (2.0 * sigma**4)
-    return {
+    used = (weights != 0.0) | (weights[pair] != 0.0)
+    used[center] = True
+    return np.flatnonzero(used), 0.5 * np.abs(weights * (f + f_neg)).sum(axis=1), {
         "value": 0.5 * np.einsum("...pn,n->...p", f + f_neg, weights),
         "first": np.einsum("pn...,nd->pd...", f - f_neg, c_first),
         "second": np.einsum("pn...,nd->pd...", f + f_neg - 2.0 * f[:, center : center + 1], c_second),
@@ -209,38 +233,41 @@ _PLANS = pytest.mark.parametrize(
 
 @_PLANS
 def test_combine_on_queried_rows_equals_the_full_layout(cfg, dim):
+    """A plan evaluates only the nodes whose values enter a sum.  Leaving out
+    the others' exact-zero terms keeps every derivative sum's bits; the
+    value sum groups its terms by the node count, so it is held to the
+    summation bound n * eps * sum_j |w_j (f_j + f_pair(j))| / 2."""
     call_index = 5
     offsets, weights = _full_layout(cfg, dim, call_index)
     net = make_tanh_mlp(dim, 16, dim)
     centers = np.random.default_rng(dim).uniform(-0.5, 0.5, size=(4, dim))
     f = net((centers[:, None, :] + offsets[None]).reshape(-1, dim)).reshape(len(centers), -1)
+    used, magnitude, want = _combine_oracle(offsets, weights, cfg.sigma, f)
 
     plan = SteinPlan(cfg, dim, call_index)
     points = plan.eval_points(centers).reshape(len(centers), plan.n_queries, dim)
-    assert np.array_equal(points, centers[:, None, :] + offsets[None, plan.queried])
-    (got,) = plan.combine(f[:, plan.queried].reshape(-1), [(slice(None), ("value", "first", "second"))])
-    want = _combine_oracle(offsets, weights, cfg.sigma, f)
-    for key in want:
-        assert np.array_equal(got[key], want[key]), key
+    assert np.array_equal(points, centers[:, None, :] + offsets[None, used])
+    got = plan.combine(f[:, used].reshape(-1))
+    assert np.array_equal(got["first"], want["first"])
+    assert np.array_equal(got["second"], want["second"])
+    bound = len(weights) * np.finfo(float).eps * magnitude
+    assert np.all(np.abs(got["value"] - want["value"]) <= bound)
 
 
 @_PLANS
-def test_one_combine_over_all_terms_equals_a_call_per_term(cfg, dim):
-    """A loss query combines its residual and data terms in one call; each term
-    must equal a call on that term's values alone."""
+def test_one_combine_over_many_centers_equals_a_call_per_center(cfg, dim):
+    """A loss query combines all its residual and data centers in one call;
+    each center must equal a call on that center's values alone."""
     plan = SteinPlan(cfg, dim, 5)
     net = make_tanh_mlp(dim, 16, dim)
     centers = np.random.default_rng(dim).uniform(-0.5, 0.5, size=(7, dim))
     values = net(plan.eval_points(centers))
-    per_center = values.reshape(len(centers), plan.n_queries)
-    parts = [(slice(0, 4), ("value", "first", "second")), (slice(4, 6), ("value",)), (slice(6, 7), ("value",))]
-    got = plan.combine(values, parts)
-    assert len(got) == len(parts)
-    for (rows, which), term in zip(parts, got):
-        (want,) = plan.combine(per_center[rows].reshape(-1), [(slice(None), which)])
-        assert term.keys() == want.keys() == set(which)
-        for key in want:
-            assert np.array_equal(term[key], want[key]), key
+    got = plan.combine(values)
+    assert got["value"].shape == (7,) and got["first"].shape == got["second"].shape == (7, dim)
+    for i, row in enumerate(values.reshape(len(centers), plan.n_queries)):
+        want = plan.combine(row)
+        for key in ("value", "first", "second"):
+            assert np.array_equal(got[key][i], want[key][0]), key
 
 
 def test_plan_combine_batches_match_single_calls():
@@ -248,10 +275,9 @@ def test_plan_combine_batches_match_single_calls():
     cfg = SteinConfig(sigma=0.05, level=3)
     pts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(6, 2))
     plan = SteinPlan(cfg, 2)
-    vals = net(plan.eval_points(pts))
-    (out,) = plan.combine(vals, [(slice(None), ("value", "first", "second"))])
+    out = plan.combine(net(plan.eval_points(pts)))
     for i, x in enumerate(pts):
-        single = estimate(net, x, cfg, ("value", "first", "second"))
+        single = estimate(net, x, cfg)
         assert out["value"][i] == pytest.approx(single["value"], abs=1e-13)
         assert np.allclose(out["first"][i], single["first"], atol=1e-13)
         assert np.allclose(out["second"][i], single["second"], atol=1e-13)
