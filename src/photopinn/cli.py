@@ -4,25 +4,44 @@ Subcommands: train, evaluate, grid, oracle build, cost, mzi-count, reproduce,
 model inspect.  Exit codes: 0 success, 2 input error (bad arguments, a bad
 config, bad grid dimension or level, a missing file, a gridded reference
 that `oracle build` never wrote), 3 numerical failure.  Any other exception
-propagates.
+propagates.  Each subcommand imports what it uses when it runs, so a
+weight-domain `train` loads no `photopinn.photonic` module.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
 import numpy as np
 
 from .config import ConfigError
-from .pde.oracles import ORACLES
-from .pde.problems import OracleNotBuilt
-from .photonic.cost import FOOTPRINT_TABLE
-from .quadrature import QuadratureError
-from .reproduce import TABLE_IDS
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+class _Choices:
+    """Choices that `load()` gives when argparse checks or lists them, so only the subcommand
+    taking them imports their module.  Name a metavar, or `add_argument` lists them at once."""
+
+    def __init__(self, load):
+        self.load = load
+
+    def __contains__(self, value):
+        return value in self.load()
+
+    def __iter__(self):
+        return iter(self.load())
+
+
+def _input_errors() -> tuple:
+    """The exceptions that exit with EXIT_CONFIG."""
+    from .pde.problems import OracleNotBuilt
+    from .quadrature import QuadratureError
+
+    return ConfigError, QuadratureError, FileNotFoundError, OracleNotBuilt
 
 
 def main(argv=None) -> int:
@@ -52,12 +71,14 @@ def main(argv=None) -> int:
     p_oracle = sub.add_parser("oracle", help="reference-grid management")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
     p_ob = oracle_sub.add_parser("build", help="compute and cache a gridded reference")
-    p_ob.add_argument("--problem", required=True, choices=tuple(ORACLES))
+    gridded = _Choices(lambda: import_module("photopinn.pde.problems").gridded_problems())
+    p_ob.add_argument("--problem", required=True, choices=gridded, metavar="PROBLEM", help="one of %(choices)s")
     p_ob.add_argument("--oracle-dir", default="artifacts/oracles")
     p_ob.set_defaults(handler=_cmd_oracle)
 
     p_cost = sub.add_parser("cost", help="latency/footprint tables")
-    p_cost.add_argument("--arch", default="all", choices=("all", *FOOTPRINT_TABLE))
+    archs = _Choices(lambda: ("all", *import_module("photopinn.photonic.cost").FOOTPRINT_TABLE))
+    p_cost.add_argument("--arch", default="all", choices=archs, metavar="ARCH", help="one of %(choices)s")
     p_cost.set_defaults(handler=_cmd_cost)
 
     p_mzi = sub.add_parser("mzi-count", help="per-layer MZI counts for a configured model")
@@ -65,7 +86,8 @@ def main(argv=None) -> int:
     p_mzi.set_defaults(handler=_cmd_mzi)
 
     p_rep = sub.add_parser("reproduce", help="compare against published numbers")
-    p_rep.add_argument("--table", required=True, choices=TABLE_IDS)
+    tables = _Choices(lambda: import_module("photopinn.reproduce").TABLE_IDS)
+    p_rep.add_argument("--table", required=True, choices=tables, metavar="TABLE", help="one of %(choices)s")
     p_rep.add_argument("--run-dir", default=None)
     p_rep.set_defaults(handler=_cmd_reproduce)
 
@@ -80,7 +102,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, QuadratureError, FileNotFoundError, OracleNotBuilt) as exc:
+    except _input_errors() as exc:  # evaluated only when the handler raises
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -155,7 +177,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    from .photonic.cost import footprint, latency
+    from .photonic.cost import FOOTPRINT_TABLE, footprint, latency
 
     archs = list(FOOTPRINT_TABLE) if args.arch == "all" else [args.arch]
     print("arch,t_inference_ns,t_epoch_ms,t_total_s,footprint_mm2")

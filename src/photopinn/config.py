@@ -90,6 +90,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= {lowest}, got {value!r}")
         if min(self.run_seeds, default=0) < 0:  # NumPy seeds must be non-negative
             raise ConfigError(f"run.seeds must all be >= 0, got {self.run_seeds!r}")
+        if len(set(self.run_seeds)) < len(self.run_seeds):  # a repeat would train into the same directory
+            raise ConfigError(f"run.seeds must not repeat a seed, got {self.run_seeds!r}")
         if self.domain not in ("weight", "phase"):
             raise ConfigError(f"domain must be weight|phase, got {self.domain!r}")
         if self.loss_mode not in ("sg", "se"):

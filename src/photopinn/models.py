@@ -27,7 +27,6 @@ import numpy as np
 from .config import ConfigError
 from .nets import DenseLayer, TensorizedMlp, TTLayer
 from .pde import PROBLEM_NAMES
-from .pde import black_scholes as bs
 from .tensortrain import TTLayout, tt_init
 
 __all__ = ["Architecture", "architecture", "build_model", "phase_layers", "build_phase_model"]
@@ -67,6 +66,8 @@ def architecture(
         return TTLayout(in_factors, out_factors, (1,) + (rank,) * (len(in_factors) - 1) + (1,))
 
     if problem == "black-scholes":
+        from .pde import black_scholes as bs  # here, so a run of another problem never loads it
+
         w = width or 128
         hidden = tt((4, 4, 8), (8, 4, 4)) if tensorized else (w, w)
         arch = Architecture(

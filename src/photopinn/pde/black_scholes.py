@@ -3,7 +3,8 @@
     u_t + (1/2) vol^2 x^2 u_xx + r x u_x - r u = 0   on [0, 200] x [0, 1],
     u(x, 1) = max(x - K, 0),  u(0, t) = 0,  u(200, t) = 200 - K exp(-r (1-t)).
 
-Parameters are fixed at vol = 0.2, r = 0.05, K = 100, T = 1.
+Parameters are fixed at vol = 0.2, r = 0.05, K = 100, T = 1.  `problem()`
+is the benchmark's descriptor, with the closed form as its reference.
 
 The closed form needs the standard normal CDF, and this module computes it
 with NumPy alone, so no Black-Scholes run loads SciPy (importing
@@ -22,13 +23,16 @@ import math
 
 import numpy as np
 
+from .problems import DataTerm, PinnProblem, grid_points
+
 VOL = 0.2
 RATE = 0.05
 STRIKE = 100.0
 HORIZON = 1.0
 X_MAX = 200.0
 
-__all__ = ["VOL", "RATE", "STRIKE", "HORIZON", "X_MAX", "bs_exact", "bs_terminal", "bs_boundary_hi", "normal_cdf"]
+__all__ = ["VOL", "RATE", "STRIKE", "HORIZON", "X_MAX", "bs_exact", "bs_terminal", "bs_boundary_hi", "normal_cdf",
+           "residual", "problem"]
 
 # Cephes ndtr.c as rational functions num(t) / den(t), one row each, highest
 # power first; each den is monic and a leading 0 pads num to the same length.
@@ -147,3 +151,28 @@ def bs_terminal(x):
 def bs_boundary_hi(t):
     """Value on the x = 200 boundary: 200 - K exp(-r (T - t))."""
     return X_MAX - STRIKE * np.exp(-RATE * (HORIZON - np.asarray(t, dtype=float)))
+
+
+def residual(bundle, X):
+    x = X[:, 0]
+    u, du, d2 = bundle["value"], bundle["first"], bundle["second"]
+    return du[..., 1] + 0.5 * VOL**2 * x**2 * d2[..., 0] + RATE * x * du[..., 0] - RATE * u
+
+
+def problem() -> PinnProblem:
+    """The descriptor at its defaults, which `problems.get_problem` overrides."""
+    return PinnProblem(
+        name="black-scholes",
+        lo=np.array([0.0, 0.0]),
+        hi=np.array([X_MAX, HORIZON]),
+        residual=residual,
+        residual_points=100,
+        holdout_points=lambda: grid_points(np.linspace(0.0, X_MAX, 201), np.linspace(0.0, HORIZON, 101)),
+        data=(
+            # a terminal-value problem: the payoff at t = T
+            DataTerm("initial", ((-1, HORIZON, lambda X: bs_terminal(X[:, 0])),), 10),
+            DataTerm("boundary", ((0, 0.0, lambda X: np.zeros(len(X))),
+                                  (0, X_MAX, lambda X: bs_boundary_hi(X[:, 1]))), 10),
+        ),
+        reference=lambda X: bs_exact(X[:, 0], X[:, 1]),
+    )

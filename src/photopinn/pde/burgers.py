@@ -19,16 +19,23 @@ The tests cross-check it against an independent conservative Godunov upwind
 finite-difference solve.  `burgers_cole_hopf_quad` imports `scipy.integrate`
 on first use: only an oracle build needs it, and importing SciPy at module
 load would be most of a run's start-up time.
+
+`problem()` is the benchmark's descriptor, and `reference_grid` its
+hold-out reference on the 256 x 101 grid, which `oracle build` writes once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .problems import DataTerm, PinnProblem, grid_points
+from .raster import Raster
+
 NU = 0.01 / np.pi
 _A = 1.0 / (2.0 * np.pi * NU)  # = 50
 
-__all__ = ["NU", "burgers_exact", "burgers_cole_hopf_quad", "burgers_initial", "holdout_axes"]
+__all__ = ["NU", "burgers_exact", "burgers_cole_hopf_quad", "burgers_initial", "holdout_axes",
+           "residual", "problem", "reference_grid"]
 
 
 def holdout_axes() -> tuple[np.ndarray, np.ndarray]:
@@ -85,3 +92,37 @@ def burgers_exact(x, t):
     out = np.array([burgers_cole_hopf_quad(xi, ti) for xi, ti in zip(xb.ravel(), tb.ravel())])
     out = out.reshape(xb.shape)
     return out if out.ndim else float(out)
+
+
+def residual(bundle, X):
+    u, du, d2 = bundle["value"], bundle["first"], bundle["second"]
+    return du[..., 1] + u * du[..., 0] - NU * d2[..., 0]
+
+
+def problem() -> PinnProblem:
+    """The descriptor at its defaults, which `problems.get_problem` overrides."""
+    zeros = lambda X: np.zeros(len(X))
+    return PinnProblem(
+        name="burgers",
+        lo=np.array([-1.0, 0.0]),
+        hi=np.array([1.0, 1.0]),
+        residual=residual,
+        residual_points=1200,
+        holdout_points=lambda: grid_points(*holdout_axes()),
+        data=(
+            DataTerm("initial", ((-1, 0.0, lambda X: burgers_initial(X[:, 0])),), 100),
+            DataTerm("boundary", ((0, -1.0, zeros), (0, 1.0, zeros)), 100),
+        ),
+    )
+
+
+def reference_grid(verbose: bool):
+    """Cole-Hopf quadrature on the 256 x 101 hold-out grid: the raster and its metadata."""
+    xs, ts = holdout_axes()
+    values = np.empty((len(xs), len(ts)))
+    for j, t in enumerate(ts):
+        values[:, j] = burgers_exact(xs, t)
+        if verbose and j % 20 == 0:
+            print(f"burgers oracle: t={t:.2f}")
+    raster = Raster(values=values, extent=(xs[0], xs[-1], ts[0], ts[-1]))
+    return raster, {"nu": NU, "method": "cole-hopf-quadrature"}

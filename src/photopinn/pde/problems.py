@@ -1,36 +1,42 @@
-"""Benchmark descriptors, collocation sampling, and the smoothed PINN loss.
+"""The PINN loss machinery: problem descriptors, collocation sampling, and
+the smoothed loss.  It names no PDE.
 
 A `PinnProblem` bundles one PDE: its input box (spatial coordinates first,
 time last when present), the residual functional over the derivative bundle,
 the residual points per step, its data terms, the solution-network
 transform, and the hold-out set with its reference solution.
 
+Each PDE is one module of this package with one entry in `_MODULES`: its
+`problem()` returns the descriptor at its defaults, and `get_problem`
+imports the module on first use, so a run loads its own PDE alone.  A
+module whose descriptor has no closed-form `reference` defines
+`reference_grid(verbose)`: `oracle_build` writes that grid to a raster file
+once, and `get_problem` attaches it as the reference.
+
 A data term (`DataTerm`) fits the solution to target values on faces of the
 box.  Each side is (coord, value, target): its points have coordinate
 `coord` fixed at `value` (coord -1 is time, so an initial or terminal
 condition is a one-side term) and `target` gives the wanted values there.
-Black-Scholes (terminal payoff) and Burgers (initial profile) have an
-`initial` term and a two-side `boundary` term; HJB and Darcy build their
-data into the network transform and have none.
 
 The points of one (seed, step) come from one generator in a fixed order:
-the residual points, then each term's sides in order (`initial` before
-`boundary`), `points` rows per side.  Each is uniform on the box shrunk by
-`sample_margin`, with a side's coordinate then set to its value; Darcy's
-residual points are a subsample of its fixed grid instead.
+the residual points, then each term's sides in order, `points` rows per
+side.  Each is uniform on the box shrunk by `sample_margin`, with a side's
+coordinate then set to its value; a `fixed_grid` problem's residual points
+are a subsample of its hold-out grid instead.
 
 The loss is
 
-    L = L_r + lambda0 * L0 + lambdab * Lb,
+    L = L_r + sum_k lambda_k L_k,
 
-each term's weight times its mean squared misfit added to the residual's in
-term order, with every u, gradient, and second derivative coming from the
-smoothed-model estimators (no autodiff anywhere).  Smoothing noise covers
-the full input including time.
+each data term's weight times its mean squared misfit added to the
+residual's in term order, with every u, gradient, and second derivative
+coming from the smoothed-model estimators (no autodiff anywhere).
+Smoothing noise covers the full input including time.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -38,32 +44,20 @@ from typing import Callable
 import numpy as np
 
 from ..quadrature import SteinConfig, SteinPlan, stein_plan
-from . import black_scholes as bs
-from . import burgers as bg
-from . import darcy as dc
-from . import hjb
-from .oracles import ORACLES, oracle_path
-from .raster import Raster, load_raster
 
 __all__ = [
-    "DataTerm",
-    "PinnProblem",
-    "OracleNotBuilt",
-    "StepInputs",
-    "get_problem",
-    "sample_batch",
-    "step_inputs",
-    "pinn_loss",
-    "score",
-    "relative_l2",
-    "holdout_reference",
-    "PROBLEM_NAMES",
+    "PROBLEM_NAMES", "DataTerm", "PinnProblem", "OracleNotBuilt", "StepInputs",
+    "get_problem", "gridded_problems", "grid_points", "oracle_build", "oracle_path",
+    "sample_batch", "step_inputs", "pinn_loss", "score", "relative_l2", "holdout_reference",
 ]
 
-HOLDOUT_SEED = 90210  # fixed seed for the HJB random hold-out cloud
+# Each problem's name and the module of this package that defines it.
+_MODULES = {"black-scholes": "black_scholes", "hjb": "hjb", "burgers": "burgers", "darcy": "darcy"}
+PROBLEM_NAMES = tuple(_MODULES)
+
 # Rows per block a plain query hands `score`, so its combines never hold more
-# than a few arrays of this many floats (a Monte-Carlo Black-Scholes query
-# has 532,610 rows).
+# than a few arrays of this many floats (a Monte-Carlo query of 130 centers
+# at the default 2,048 samples has 532,610 rows).
 _SCORE_ROWS = 1 << 14
 
 
@@ -90,7 +84,7 @@ class PinnProblem:
     residual_points: int
     holdout_points: Callable  # () -> the fixed evaluation set of the relative-l2 metric
     data: tuple[DataTerm, ...] = ()
-    fixed_grid: bool = False  # residual points are a subsample of the hold-out grid (Darcy)
+    fixed_grid: bool = False  # residual points are a subsample of the hold-out grid
     sigma_default: float = 1e-3
     transform: Callable = staticmethod(lambda net: net)  # raw net -> solution network
     reference: Callable | None = None  # (X) -> exact values, or None until oracle built
@@ -101,7 +95,8 @@ class PinnProblem:
         return len(self.lo)
 
 
-def _grid_points(a, b):
+def grid_points(a, b):
+    """The nodes of the grid with axes a and b, b varying fastest: (len(a) * len(b), 2)."""
     A, B = np.meshgrid(a, b, indexing="ij")
     return np.column_stack([A.ravel(), B.ravel()])
 
@@ -120,35 +115,21 @@ def relative_l2(pred: np.ndarray, ref: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bs_residual(bundle, X):
-    x = X[:, 0]
-    u, du, d2 = bundle["value"], bundle["first"], bundle["second"]
-    return du[..., 1] + 0.5 * bs.VOL**2 * x**2 * d2[..., 0] + bs.RATE * x * du[..., 0] - bs.RATE * u
+def _module(name: str):
+    """The module defining problem `name`, imported on first use."""
+    if name not in _MODULES:
+        raise KeyError(f"unknown problem {name!r}")
+    return importlib.import_module(f".{_MODULES[name]}", __package__)
 
 
-def _hjb_residual(bundle, X):
-    du, d2 = bundle["first"], bundle["second"]
-    grad_sq = np.sum(du[..., : hjb.SPATIAL_DIM] ** 2, axis=-1)
-    lap = np.sum(d2[..., : hjb.SPATIAL_DIM], axis=-1)
-    return du[..., -1] + lap - hjb.GRAD_PENALTY * grad_sq - hjb.RHS
+def _gridded(name: str) -> bool:
+    """Whether problem `name` takes its reference from a grid `oracle_build` writes."""
+    return hasattr(_module(name), "reference_grid")
 
 
-def _burgers_residual(bundle, X):
-    u, du, d2 = bundle["value"], bundle["first"], bundle["second"]
-    return du[..., 1] + u * du[..., 0] - bg.NU * d2[..., 0]
-
-
-def _make_darcy_residual(k_field: Raster):
-    def resid(bundle, X):
-        k = k_field.lookup_cell(X)
-        lap = bundle["second"][..., 0] + bundle["second"][..., 1]
-        return k * lap - dc.FORCING
-
-    return resid
-
-
-def _zeros(X):
-    return np.zeros(len(X))
+def gridded_problems() -> tuple[str, ...]:
+    """The problems with a gridded reference, in `PROBLEM_NAMES` order; imports every problem module."""
+    return tuple(name for name in PROBLEM_NAMES if _gridded(name))
 
 
 def get_problem(
@@ -159,74 +140,15 @@ def get_problem(
     oracle_dir: str | Path | None = None,
     sample_margin: float = 0.0,
 ) -> PinnProblem:
-    """Build one of the four benchmark descriptors with optional overrides.
+    """Build a problem's descriptor with optional overrides.
 
     `points` maps 'residual' or a data term's name to its points per step
     (per side for a data term) and `weights` a data term's name to its
     weight; a name the problem lacks is ignored.  A `sigma` or a count of 0
-    keeps the problem's own.
+    keeps the problem's own.  A gridded problem takes its reference from
+    the file `oracle_build` wrote to `oracle_dir`, when there is one.
     """
-    if name == "black-scholes":
-        prob = PinnProblem(
-            name=name,
-            lo=np.array([0.0, 0.0]),
-            hi=np.array([bs.X_MAX, bs.HORIZON]),
-            residual=_bs_residual,
-            residual_points=100,
-            holdout_points=lambda: _grid_points(
-                np.linspace(0.0, bs.X_MAX, 201), np.linspace(0.0, bs.HORIZON, 101)
-            ),
-            data=(
-                # a terminal-value problem: the payoff at t = T
-                DataTerm("initial", ((-1, bs.HORIZON, lambda X: bs.bs_terminal(X[:, 0])),), 10),
-                DataTerm(
-                    "boundary", ((0, 0.0, _zeros), (0, bs.X_MAX, lambda X: bs.bs_boundary_hi(X[:, 1]))), 10
-                ),
-            ),
-            reference=lambda X: bs.bs_exact(X[:, 0], X[:, 1]),
-        )
-    elif name == "hjb":
-        prob = PinnProblem(
-            name=name,
-            lo=np.zeros(hjb.SPATIAL_DIM + 1),
-            hi=np.ones(hjb.SPATIAL_DIM + 1),
-            residual=_hjb_residual,
-            residual_points=100,
-            holdout_points=lambda: np.random.default_rng(HOLDOUT_SEED).uniform(
-                size=(10_000, hjb.SPATIAL_DIM + 1)
-            ),
-            sigma_default=0.1,
-            transform=hjb.hjb_transform,
-            reference=lambda X: hjb.hjb_exact(X[:, :-1], X[:, -1]),
-        )
-    elif name == "burgers":
-        prob = PinnProblem(
-            name=name,
-            lo=np.array([-1.0, 0.0]),
-            hi=np.array([1.0, 1.0]),
-            residual=_burgers_residual,
-            residual_points=1200,
-            holdout_points=lambda: _grid_points(*bg.holdout_axes()),
-            data=(
-                DataTerm("initial", ((-1, 0.0, lambda X: bg.burgers_initial(X[:, 0])),), 100),
-                DataTerm("boundary", ((0, -1.0, _zeros), (0, 1.0, _zeros)), 100),
-            ),
-        )
-    elif name == "darcy":
-        axis = np.linspace(0.0, 1.0, dc.GRID_N)
-        prob = PinnProblem(
-            name=name,
-            lo=np.zeros(2),
-            hi=np.ones(2),
-            residual=_make_darcy_residual(dc.default_permeability()),
-            residual_points=dc.GRID_N * dc.GRID_N,
-            holdout_points=lambda: _grid_points(axis, axis),
-            fixed_grid=True,
-            transform=dc.darcy_transform,
-        )
-    else:
-        raise KeyError(f"unknown problem {name!r}")
-
+    prob = _module(name).problem()
     points = points or {}
     weights = weights or {}
     data = tuple(
@@ -240,15 +162,31 @@ def get_problem(
         sigma_default=sigma or prob.sigma_default,
         sample_margin=sample_margin,
     )
-    if name in ORACLES and oracle_dir is not None:
+    if oracle_dir is not None and _gridded(name):
         path = oracle_path(oracle_dir, name)
         if path.exists():
-            raster = load_raster(path)
-            prob = replace(prob, reference=lambda X, r=raster: r.interp(X))
+            from .raster import load_raster
+
+            prob = replace(prob, reference=load_raster(path).interp)
     return prob
 
 
-PROBLEM_NAMES = ("black-scholes", "hjb", "burgers", "darcy")
+def oracle_path(oracle_dir, name: str) -> Path:
+    """Where `oracle_build` writes the gridded reference of problem `name`."""
+    return Path(oracle_dir) / f"{name}_reference.txt"
+
+
+def oracle_build(name: str, oracle_dir, verbose: bool = False) -> Path:
+    """Compute the gridded reference of a problem in `gridded_problems()` and write it to `oracle_path`."""
+    if name not in gridded_problems():
+        raise KeyError(f"no oracle for problem {name!r}")
+    from .raster import save_raster
+
+    Path(oracle_dir).mkdir(parents=True, exist_ok=True)
+    raster, meta = _module(name).reference_grid(verbose)
+    path = oracle_path(oracle_dir, name)
+    save_raster(raster=raster, path=path, meta=meta)
+    return path
 
 
 _HOLDOUT_REFERENCE: dict[str, np.ndarray] = {}
@@ -257,13 +195,12 @@ _HOLDOUT_REFERENCE: dict[str, np.ndarray] = {}
 def holdout_reference(problem: PinnProblem) -> tuple[np.ndarray, np.ndarray]:
     """The hold-out points and the reference values on them.
 
-    A closed-form reference (Black-Scholes, HJB) is computed once per process
-    and problem name, like a sparse-grid Stein plan (`quadrature.stein_plan`),
-    and returned read-only;
-    the gridded Burgers and Darcy references come from oracle files and are
-    read anew.  The points are rebuilt on every call: they cost a fifth of
-    the Black-Scholes reference, and kept they would hold 325 kB through
-    every ZO step, which the peak RSS of a run shows.
+    A closed-form reference is computed once per process and problem name,
+    like a sparse-grid Stein plan (`quadrature.stein_plan`), and returned
+    read-only; a gridded reference comes from its oracle file and is read
+    anew.  The points are rebuilt on every call: on a 201 x 101 grid they
+    cost a fifth of its closed-form reference, and kept they would hold
+    325 kB through every ZO step, which the peak RSS of a run shows.
     """
     points = problem.holdout_points()
     ref = _HOLDOUT_REFERENCE.get(problem.name)
@@ -274,7 +211,7 @@ def holdout_reference(problem: PinnProblem) -> tuple[np.ndarray, np.ndarray]:
                 "and pass oracle_dir to get_problem"
             )
         ref = np.asarray(problem.reference(points), dtype=float)
-        if problem.name not in ORACLES:  # a closed form, fixed by the problem name
+        if not _gridded(problem.name):  # a closed form, fixed by the problem name
             ref.flags.writeable = False
             _HOLDOUT_REFERENCE[problem.name] = ref
     return points, ref
@@ -352,8 +289,8 @@ def pinn_loss(
     `inputs` are the step's inputs from `step_inputs`, built here when not
     given; every query of a ZO step shares them.  The values go to `score`
     in slices of `_SCORE_ROWS` rows, which bound what its combines hold: a
-    default Monte-Carlo Black-Scholes query (532,610 rows) peaks below twice
-    its values' bytes (tests/test_score.py).
+    Monte-Carlo query of 532,610 rows peaks below twice its values' bytes
+    (tests/test_score.py).
     """
     if inputs is None:
         inputs = step_inputs(problem, stein_cfg, batch_seed, step)

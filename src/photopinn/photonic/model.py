@@ -29,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from ..nets import Mlp
+from ..nets import DenseLayer, Mlp
 from ..tensortrain import TTCores, TTLayout, tt_forward, tt_split
 from .noise import FrozenNoise, NoiseModel, apply_nonidealities
 from .svd import block_neighbors, block_phase_count, svd_matrices
@@ -62,13 +62,7 @@ class PhotonicDense:
     def realize(self, phases: np.ndarray) -> np.ndarray:
         return self.realized_weight(phases.reshape(self.phase_shape))
 
-    def apply(
-        self, h: np.ndarray, out: np.ndarray, realized: np.ndarray, bias: np.ndarray | None = None, work=None
-    ) -> None:
-        """out = h W^T (+ bias); a dense product uses no scratch `work`."""
-        np.matmul(h, realized.T, out=out)
-        if bias is not None:
-            out += bias
+    apply = DenseLayer.apply  # out = h W^T (+ bias), W the realized weight
 
     def realized_weight(self, phases: np.ndarray) -> np.ndarray:
         k = self.block

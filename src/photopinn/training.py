@@ -99,6 +99,7 @@ _IGNORED_KEYS = (
     ("run.seed", lambda c, p: bool(c.run_seeds), "run.seeds lists the seeds to run"),
     *((f"run.{name}", lambda c, p: p.reference is None, "it has no hold-out reference (no oracle in run.oracle_dir)")
       for name in ("eval_every", "target_rel_l2")),
+    ("run.target_rel_l2", lambda c, p: not c.run_eval_every, "run.eval_every = 0 evaluates no hold-out in the loop"),
 )
 
 

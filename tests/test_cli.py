@@ -177,6 +177,7 @@ def test_train_with_beta1_of_one_exits_2_before_writing(tmp_path, capsys):
         ("run.seeds = 1", "run.seed", "5", "run.seed = 5 has no effect on black-scholes: run.seeds lists the seeds"),
         (_NO_ORACLE, "run.eval_every", "5", "run.eval_every = 5 has no effect on burgers: it has no hold-out reference"),
         (_NO_ORACLE, "run.target_rel_l2", "0.1", "run.target_rel_l2 = 0.1 has no effect on burgers: it has no hold-out"),
+        ("run.eval_every = 0", "run.target_rel_l2", "0.5", "run.target_rel_l2 = 0.5 has no effect on black-scholes: run.eval_every = 0"),
     ],
     ids=[
         "hjb-initial_points",
@@ -199,6 +200,7 @@ def test_train_with_beta1_of_one_exits_2_before_writing(tmp_path, capsys):
         "seeds-run.seed",
         "no-reference-run.eval_every",
         "no-reference-run.target_rel_l2",
+        "no-eval-run.target_rel_l2",
     ],
 )
 def test_train_with_a_key_the_problem_ignores_exits_2_before_writing(setting, key, raw, message, tmp_path, capsys):
@@ -287,6 +289,13 @@ def test_bad_arguments_exit_2_before_any_output(argv, capsys):
         main(argv)
     assert exc.value.code == EXIT_CONFIG
     assert capsys.readouterr().out == ""
+
+
+def test_an_oracle_build_of_a_closed_form_problem_exits_2_naming_the_gridded_ones(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "build", "--problem", "black-scholes"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'black-scholes' (choose from 'burgers', 'darcy')" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """A run starts without SciPy, and a Black-Scholes run never loads it.
 
 Only the Burgers and Darcy oracle solves import SciPy, on first use, and
-only a phase-domain run loads the photonic simulator.
+only a phase-domain run loads the photonic simulator.  A `photopinn train`
+loads its own PDE module alone and never the photonic cost model.
 
 The checks run in a fresh interpreter, because this test process has
 already imported SciPy and `photopinn.photonic` through other tests.
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import photopinn
 
@@ -33,7 +36,7 @@ for domain in ("weight", "phase"):
 problem = config_problem(cfg)
 pinn_loss(problem.transform(model), problem, config_stein(cfg, problem, 0), 0, 0)
 before = loaded()
-from photopinn.pde import bs_exact
+from photopinn.pde.black_scholes import bs_exact
 bs_exact(100.0, 0.5)
 rel_l2 = evaluate_model(model, problem)[0]
 print(json.dumps({"before": before, "after": loaded(), "rel_l2": rel_l2}))
@@ -49,6 +52,17 @@ report = train(RunConfig(problem_name="black-scholes", domain="weight", opt_iter
 print(json.dumps({"photonic": sorted(m for m in sys.modules if m.startswith("photopinn.photonic")),
                   "rel_l2": report.mean_rel_l2}))
 """
+
+
+CLI_RUN = """
+import json, sys
+from photopinn import cli
+
+assert cli.main(["train", "--config", "run.cfg", "--iterations", "1", "--quiet"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("photopinn."))))
+"""
+
+PDE_MODULES = {f"photopinn.pde.{m}" for m in ("black_scholes", "burgers", "darcy", "hjb")}
 
 
 def _run_fresh(script: str, cwd) -> dict:
@@ -76,3 +90,24 @@ def test_a_weight_domain_run_loads_no_photonic_module(tmp_path):
     out = _run_fresh(WEIGHT_RUN, tmp_path)
     assert out["photonic"] == []
     assert 0.0 < out["rel_l2"] < float("inf")
+
+
+@pytest.mark.parametrize(
+    "problem,domain,settings",
+    [
+        ("black-scholes", "weight", ""),
+        ("black-scholes", "phase", "model.tensorized = false\n"),
+        ("hjb", "weight", "model.width = 128\nproblem.residual_points = 20\n"),
+        ("burgers", "weight", "problem.residual_points = 100\n"),
+        ("darcy", "weight", "problem.residual_points = 100\n"),
+    ],
+    ids=["black-scholes-weight", "black-scholes-phase", "hjb", "burgers", "darcy"],
+)
+def test_a_cli_training_run_loads_its_own_pde_module_and_no_cost_model(problem, domain, settings, tmp_path):
+    (tmp_path / "run.cfg").write_text(f"problem.name = {problem}\ndomain = {domain}\n{settings}")
+    modules = set(_run_fresh(CLI_RUN, tmp_path))
+    assert modules & PDE_MODULES == {f"photopinn.pde.{problem.replace('-', '_')}"}
+    assert ("photopinn.pde.raster" in modules) == (problem in ("burgers", "darcy"))
+    photonic = {m for m in modules if m.startswith("photopinn.photonic")}
+    assert "photopinn.photonic.cost" not in photonic
+    assert bool(photonic) == (domain == "phase")

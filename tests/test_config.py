@@ -93,6 +93,7 @@ def test_every_field_overrides_through_the_environment(tmp_path, monkeypatch):
         ("run_eval_every", -1, "run.eval_every must be >= 0, got -1"),  # would evaluate every step
         ("run_seed", -1, "run.seed must be >= 0, got -1"),  # NumPy seeds must be non-negative
         ("run_seeds", (1, -2), "run.seeds must all be >= 0, got (1, -2)"),  # seed 1 would train before -2 failed
+        ("run_seeds", (1, 1), "run.seeds must not repeat a seed, got (1, 1)"),  # both would write seed1/
         ("noise_seed", -3, "noise.seed must be >= 0, got -3"),
     ],
 )

@@ -24,9 +24,9 @@ from photopinn.photonic import (
     quantize_phases,
     random_phases,
     stage_neighbors,
-    mzi_count,
     svd_matrices,
 )
+from photopinn.photonic.cost import mzi_count
 from photopinn.models import phase_layers
 from photopinn.photonic.model import _layer_pairs
 from photopinn.tensortrain import TTLayout, tt_reconstruct
