@@ -96,8 +96,9 @@ class RunConfig:
             raise ConfigError(f"domain must be weight|phase, got {self.domain!r}")
         if self.loss_mode not in ("sg", "se"):
             raise ConfigError(f"loss.mode must be sg|se, got {self.loss_mode!r}")
-        if self.loss_level not in (1, 2, 3):
-            raise ConfigError(f"loss.level must be 1|2|3, got {self.loss_level}")
+        if self.loss_level not in (2, 3):  # the grids stop at level 3
+            raise ConfigError(f"loss.level must be 2|3, got {self.loss_level}"
+                              " (level 1 queries only the center, so every derivative estimate is 0)")
         if self.opt_algorithm not in ("adam", "sgd"):
             raise ConfigError(f"opt.algorithm must be adam|sgd, got {self.opt_algorithm!r}")
         if not self.zo_radius > 0:
@@ -116,6 +117,8 @@ class RunConfig:
             raise ConfigError(f"opt.eps must be > 0, got {self.opt_eps!r}")
         if not 0 <= self.noise_crosstalk < 1:
             raise ConfigError(f"noise.crosstalk must be in [0, 1), got {self.noise_crosstalk!r}")
+        if self.noise_bits > 32:  # the 2*pi/2^bits probe radius would near the float64 spacing of a phase
+            raise ConfigError(f"noise.bits must be <= 32, got {self.noise_bits!r}")
         if not 0 <= self.problem_margin < 0.5:
             raise ConfigError(f"problem.margin must be in [0, 0.5), got {self.problem_margin!r}")
 

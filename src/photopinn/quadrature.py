@@ -24,8 +24,20 @@ D-dimensional grids come from the Smolyak combination
     A(D, k) = sum over q in [max(0, k-D), k-1] of
               (-1)^(k-1-q) * C(D-1, k-1-q) * sum over |l| = D+q of V_l1 x ... x V_lD,
 
-with coincident nodes merged and their signed weights summed.  At level 3 the
-merged grid has exactly 2*D^2 + 2*D + 1 nodes.
+with coincident nodes merged and their signed weights summed.  With the 1-D
+rules stopping at level 3, a term raises at most two coordinates above
+level 1, so only three cases of q occur (V_l(i) raises coordinate i to
+level l, every other coordinate stays at the center):
+
+    A(D, 3) = C(D-1, 2) * center - (D-1) * sum_i V_2(i)
+              + sum_i V_3(i) + sum_{i<j} V_2(i) x V_2(j),
+
+and the lower levels are its truncations, A(D, 2) = -(D-1) * center +
+sum_i V_2(i) and A(D, 1) = center (for D < k the terms with q < k - D drop
+out).  The terms are summed in this order, i and then (i, j) ascending, and
+floating-point addition is not associative, so this order fixes the bytes of
+the merged weights.  At level 3 the merged grid has exactly 2*D^2 + 2*D + 1
+nodes.
 
 The smoothed-model estimators evaluate a network f at x + sigma*z over a
 symmetric node set with one zero row, the center, and combine the values into
@@ -129,67 +141,42 @@ class SparseGrid:
         return len(self.weights)
 
 
-def _excess_assignments(dim: int, q: int, max_excess: int):
-    """Yield {coord: excess} dicts distributing q units with per-coord cap."""
-    if q == 0:
-        yield {}
-        return
-    # partitions of q with parts <= max_excess, assigned to distinct coords
-    def partitions(n, cap):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, cap), 0, -1):
-            for rest in partitions(n - first, first):
-                yield (first,) + rest
-
-    for part in partitions(q, max_excess):
-        r = len(part)
-        if r > dim:
-            continue
-        for coords in itertools.combinations(range(dim), r):
-            # distinct orderings of the partition over the chosen coords
-            for perm in set(itertools.permutations(part)):
-                yield dict(zip(coords, perm))
-
-
 def build_sparse_grid(dim: int, level: int) -> SparseGrid:
     """Construct the level-k Smolyak grid for D-variate standard-normal integration.
 
-    Nodes coinciding across index tuples are merged with their signed weights
-    summed; merged nodes are kept even when the summed weight is zero, since
-    they are part of the published node counts.
+    The terms come in the module docstring's order, each over the product of
+    its raised coordinates' 1-D nodes, last coordinate fastest.  Coincident
+    nodes merge in ascending coordinate order: a merged node takes its first
+    occurrence's coordinates and the sum of its signed weights in listing
+    order, and stays when that sum is zero, as the published counts count it.
     """
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
     if level not in (1, 2, 3):
         raise UnsupportedLevelError(f"level {level} not supported")
-    rules = {l: rule_1d(l) for l in range(1, level + 1)}
-    base = rules[1]
-    accum: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
+    singles = np.arange(dim)[:, None]
+    pairs = np.array(list(itertools.combinations(range(dim), 2)), dtype=int).reshape(-1, 2)
+    # q -> the terms with |l| = D + q: (their raised coordinates (T, r), the levels of those r coordinates)
+    terms = {0: [(np.zeros((1, 0), dtype=int), ())], 1: [(singles, (2,))], 2: [(singles, (3,)), (pairs, (2, 2))]}
+    nodes, weights = [], []
     for q in range(max(0, level - dim), level):
         coeff = (-1.0) ** (level - 1 - q) * comb(dim - 1, level - 1 - q)
-        for excess in _excess_assignments(dim, q, level - 1):
-            per_coord = [rules[1 + excess.get(m, 0)] for m in range(dim)]
-            # only iterate over the coords with more than one node
-            hot = sorted(excess)
-            hot_nodes = [per_coord[m].nodes for m in hot]
-            hot_weights = [per_coord[m].weights for m in hot]
-            for combo in itertools.product(*(range(len(n)) for n in hot_nodes)):
-                node = np.zeros(dim)
-                w = coeff * float(base.weights[0]) ** (dim - len(hot))
-                for i, (m, idx) in enumerate(zip(hot, combo)):
-                    node[m] = hot_nodes[i][idx]
-                    w *= hot_weights[i][idx]
-                key = tuple(int(round(v / _NODE_QUANTUM)) for v in node)
-                if key in accum:
-                    accum[key] = (accum[key][0], accum[key][1] + w)
-                else:
-                    accum[key] = (node, w)
-    items = sorted(accum.values(), key=lambda nw: tuple(nw[0]))
-    nodes = np.array([nw[0] for nw in items])
-    weights = np.array([nw[1] for nw in items])
-    return SparseGrid(dim=dim, level=level, nodes=nodes, weights=weights)
+        for coords, levels in terms[q]:
+            rules = [rule_1d(l) for l in levels]
+            combos = np.array(list(itertools.product(*(range(len(r.nodes)) for r in rules))), dtype=int)
+            block = np.zeros((len(coords), len(combos), dim))
+            w = np.full(len(combos), coeff)
+            for s, rule in enumerate(rules):
+                block[np.arange(len(coords))[:, None], :, coords[:, s, None]] = np.take(rule.nodes, combos[:, s])
+                w *= np.take(rule.weights, combos[:, s])
+            nodes.append(block.reshape(-1, dim))
+            weights.append(np.tile(w, len(coords)))
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    keys = np.round(nodes / _NODE_QUANTUM).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    merged, later = weights[first], np.delete(np.arange(len(weights)), first)
+    np.add.at(merged, inverse.ravel()[later], weights[later])
+    return SparseGrid(dim=dim, level=level, nodes=nodes[first], weights=merged)
 
 
 def save_grid(grid: SparseGrid, path) -> None:
@@ -344,7 +331,7 @@ _PLAN_CACHE: dict[tuple[float, int, int], SteinPlan] = {}
 def stein_plan(cfg: SteinConfig, dim: int, call_index: int = 0) -> SteinPlan:
     """The plan of estimator call `call_index`.  A sparse-grid plan depends
     on (sigma, level, dim) alone, so it is built once per process and every
-    call shares it (building one, grid included, takes ~0.1 s at D = 21); a
+    call shares it (building one, grid included, takes 10-20 ms at D = 21); a
     Monte-Carlo plan draws its offsets from (seed, call_index), a new plan
     per call."""
     if cfg.mode != "sparse-grid":

@@ -106,6 +106,8 @@ def test_train_with_invalid_zo_or_log_value_exits_2_before_writing(key, raw, mes
     "key,raw,message",
     [
         ("noise.bits", "-1", "noise.bits must be >= 0, got -1"),
+        ("noise.bits", "33", "noise.bits must be <= 32, got 33"),
+        ("noise.bits", "1100", "noise.bits must be <= 32, got 1100"),  # 1 << bits would overflow a float
         ("noise.gamma_std", "-1", "noise.gamma_std must be >= 0, got -1.0"),
         ("noise.crosstalk", "-1", "noise.crosstalk must be in [0, 1), got -1.0"),
         ("noise.crosstalk", "1", "noise.crosstalk must be in [0, 1), got 1.0"),
@@ -123,6 +125,8 @@ def test_train_with_invalid_zo_or_log_value_exits_2_before_writing(key, raw, mes
     ],
     ids=[
         "noise.bits",
+        "noise.bits-33",
+        "noise.bits-1100",
         "noise.gamma_std",
         "noise.crosstalk-negative",
         "noise.crosstalk-one",
@@ -178,6 +182,7 @@ def test_train_with_beta1_of_one_exits_2_before_writing(tmp_path, capsys):
         (_NO_ORACLE, "run.eval_every", "5", "run.eval_every = 5 has no effect on burgers: it has no hold-out reference"),
         (_NO_ORACLE, "run.target_rel_l2", "0.1", "run.target_rel_l2 = 0.1 has no effect on burgers: it has no hold-out"),
         ("run.eval_every = 0", "run.target_rel_l2", "0.5", "run.target_rel_l2 = 0.5 has no effect on black-scholes: run.eval_every = 0"),
+        ("run.eval_every = 5", "run.target_rel_l2", "0.5", "run.target_rel_l2 = 0.5 has no effect on black-scholes: opt.iterations <"),
     ],
     ids=[
         "hjb-initial_points",
@@ -201,6 +206,7 @@ def test_train_with_beta1_of_one_exits_2_before_writing(tmp_path, capsys):
         "no-reference-run.eval_every",
         "no-reference-run.target_rel_l2",
         "no-eval-run.target_rel_l2",
+        "short-run-run.target_rel_l2",
     ],
 )
 def test_train_with_a_key_the_problem_ignores_exits_2_before_writing(setting, key, raw, message, tmp_path, capsys):

@@ -105,7 +105,8 @@ def test_invalid_optimizer_and_run_values_are_config_errors(field, value, messag
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("loss_level", 4, "loss.level must be 1|2|3, got 4"),  # the sparse grids stop at level 3
+        ("loss_level", 4, "loss.level must be 2|3, got 4"),  # the sparse grids stop at level 3
+        ("loss_level", 1, "loss.level must be 2|3, got 1 (level 1 queries only the center, so every derivative"),
         ("loss_samples", 0, "loss.samples must be >= 1, got 0"),
         ("problem_sigma", -1.0, "problem.sigma must be >= 0, got -1.0"),
     ],

@@ -1,5 +1,6 @@
 """Univariate rules, Smolyak grids, and their integration properties."""
 
+import hashlib
 import itertools
 import math
 
@@ -109,6 +110,36 @@ def test_published_grid_counts(dim, expected):
 def test_grid_count_formula_all_dims():
     for dim in range(1, 26):
         assert len(build_sparse_grid(dim, 3)) == 2 * dim * dim + 2 * dim + 1
+
+
+# (dim, level, node count, SHA-256 of nodes.tobytes() + weights.tobytes()),
+# recorded from the general Smolyak enumeration the builder replaced.
+GRID_DIGESTS = [
+    (1, 1, 1, "fc62429c3e69001d65972cdeb94fb9aa18a7d9c16bc449e1e474e7e41bb95a7d"),
+    (2, 1, 1, "04ae04134c8318578c932394683055fea108f3f586ff5b055613752c5f03e6f5"),
+    (3, 1, 1, "ae2cc60d29de85c7ed46adf5bb27e89a62bdafc75e3f8822473568055af8b86e"),
+    (5, 1, 1, "7246ae77314c13a1aae1006ff470b0d31d2ac5d032001ac2c8ed9d67ff9fc6c7"),
+    (21, 1, 1, "9416ab6bce56f1076623432a866221ae9ae34cc2fff26351a1eba13f3150fabf"),
+    (1, 2, 3, "8fcb546c5935579b38756dc9d71a8aa3b1e3cb03e25cd10b079b241ebb4e771d"),
+    (2, 2, 5, "9db1a3795dafa03f663f3df74c0516a1faf4b8fad5381bf9ec62809a631e9eb1"),
+    (3, 2, 7, "cfa0e8eeb7603e8a0aba31aa2cce4b02bd63ec536a17ffa84a526eb0d6772761"),
+    (5, 2, 11, "64ec6919b544b6a71e5c9550445d3edaa887aada61dce23a8327cdcee09339f5"),
+    (21, 2, 43, "06c79e1507bafa8ee6a3a51b053f5633bec5d5ece84131b4763827114e504608"),
+    (1, 3, 5, "5da691dc59f32e78817e57bc50a0c0d7350f083ebd907a1f527e7ee4885f7481"),
+    (2, 3, 13, "d862dac770976367104759935a929a2f3638ce202326f759a21b7b9d6541c04e"),
+    (3, 3, 25, "f7380fc318ad61b7e4b7d015fd28cc4aa839bc59d923fcf59786663fabed516d"),
+    (5, 3, 61, "11bf444a42c8d8412e3eb7debff36fb22d11a6b265e3841a0e723a162ba033ef"),
+    (21, 3, 925, "d0c89da5c604aaabd2a8c86df8b780b379a4707585bb11f6d4df9d79cb77a5ce"),
+]
+
+
+@pytest.mark.parametrize("dim,level,count,digest", GRID_DIGESTS)
+def test_grid_bytes_are_pinned(dim, level, count, digest):
+    # every node and weight, in order and with the sign of zero, so a change
+    # in summation order or in how coincident nodes merge shows here
+    g = build_sparse_grid(dim, level)
+    assert len(g) == count
+    assert hashlib.sha256(g.nodes.tobytes() + g.weights.tobytes()).hexdigest() == digest
 
 
 def test_level1_grid_single_node():
